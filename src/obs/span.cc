@@ -35,11 +35,14 @@ struct Span::Active {
 };
 
 namespace {
-// The innermost open armed span on this thread; new spans link to it.
+// The innermost open armed span on this thread; new spans link to it
+// unless given an explicit parent.
 thread_local Span::Active* t_current_span = nullptr;
 }  // namespace
 
-Span::Span(const char* name) {
+Span::Span(const char* name) : Span(name, SpanContext()) {}
+
+Span::Span(const char* name, const SpanContext& parent) {
   FlightRecorder* const recorder = ProcessFlightRecorder();
   if (recorder == nullptr) return;
   record_ = new Active();
@@ -48,7 +51,10 @@ Span::Span(const char* name) {
   record_->record.name = name;
   record_->record.span_id =
       g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-  if (t_current_span != nullptr) {
+  if (parent.span_id != 0) {
+    record_->record.trace_id = parent.trace_id;
+    record_->record.parent_id = parent.span_id;
+  } else if (t_current_span != nullptr) {
     record_->record.trace_id = t_current_span->record.trace_id;
     record_->record.parent_id = t_current_span->record.span_id;
   } else {

@@ -12,7 +12,9 @@
 // so one ingest request produces one coherent tree — server http_request
 // -> tenant_ingest -> validate_records / engine_observe -> engine_resync
 // -> em_run -> em_truth_step / em_quality_step — with no context threading
-// through call signatures. Roots mint a fresh trace_id; children inherit.
+// through call signatures. Work that crosses to another thread passes its
+// parent's SpanContext explicitly (shard_barrier -> engine_resync on the
+// worker pool). Roots mint a fresh trace_id; children inherit.
 //
 // Cost discipline mirrors the metric registry: with no recorder installed
 // a Span is one relaxed atomic load and a branch (no clock reads, no
@@ -45,6 +47,12 @@ class Span {
   // `name` must outlive the span (string literals at every call site); a
   // disarmed span never copies it.
   explicit Span(const char* name);
+  // Links to `parent` instead of the span open on this thread, for work
+  // handed to another thread (a shard barrier's per-shard resync on a pool
+  // worker). Spans opened inside it on this thread are still its children.
+  // A zero `parent` (a disarmed span's context) falls back to the thread's
+  // open span, exactly like Span(name).
+  Span(const char* name, const SpanContext& parent);
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   ~Span();

@@ -82,8 +82,12 @@ RetuneDecision RetuneStep(int resync_interval, int max_dirty_tasks,
   } else if (signals.backlog_tasks == 0) {
     // Drained and the tail is healthy: relax one step per interval back
     // toward the baseline (resyncs are the expensive lever; do not keep
-    // paying for a burst that has passed).
-    if (resync_interval < baseline_resync_interval) {
+    // paying for a burst that has passed). A baseline of 0 is a cadence
+    // the operator turned off; no doubling reaches it, so it comes back
+    // in one step.
+    if (baseline_resync_interval == 0) {
+      decision.resync_interval = 0;
+    } else if (resync_interval < baseline_resync_interval) {
       decision.resync_interval =
           std::min(baseline_resync_interval, resync_interval * 2);
     }

@@ -89,7 +89,9 @@ ProbeDecision ProbeStep(ProbeState state, int64_t tickets,
                         const AdaptiveControllerConfig& config);
 
 // Retune decision: the engine knobs for the next interval. `baseline_*`
-// are the tenant's configured values, the relaxation target.
+// are the tenant's configured values, the relaxation target; a baseline
+// resync_interval of 0 (periodic resyncs off) is restored as soon as the
+// backlog drains.
 struct RetuneDecision {
   int resync_interval = 0;
   int max_dirty_tasks = 0;

@@ -57,6 +57,7 @@
 #include "streaming/registry.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
 
@@ -143,7 +144,14 @@ class ShardCoordinator {
   }
 
   // Barrier: local resync per shard, worker-summary all-reduce in shard
-  // order, merged summary adopted everywhere.
+  // order, merged summary adopted everywhere. The per-shard work — resync,
+  // summary export and its sizing — runs as one task per shard on the
+  // shared worker pool (util::ParallelForSlotted, at most
+  // util::DefaultThreads() wide, this thread as slot 0). Each task touches
+  // only its own engine and output slot, and the merge runs here in shard
+  // order, so every shard ends the barrier in the same state at any pool
+  // width. The pool's threads are long-lived, so a long-running sharded
+  // server keeps a fixed set of flight-recorder rings.
   util::Status RunBarrier() {
     obs::Span span("shard_barrier");
     if (span.armed()) {
@@ -157,39 +165,47 @@ class ShardCoordinator {
     if (CROWDTRUTH_BUGGIFY("barrier_wait")) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
+    const int shards = static_cast<int>(engines_.size());
+    // Resolved before the region: Metrics() fills metric_sets_ lazily.
+    const bool size_summaries = Metrics(0) != nullptr;
+    const obs::SpanContext parent = span.context();
+    std::vector<streaming::WorkerSummary> summaries(shards);
+    std::vector<double> summary_bytes(shards, 0.0);
+    std::vector<double> done_seconds(shards, 0.0);
     util::Stopwatch total;
-    std::vector<double> local_seconds(engines_.size(), 0.0);
-    for (size_t s = 0; s < engines_.size(); ++s) {
-      util::Stopwatch watch;
-      engines_[s]->Resync();
-      local_seconds[s] = watch.ElapsedSeconds();
+    util::ParallelForSlotted(
+        shards, std::min(shards, util::DefaultThreads()),
+        [&](int s, int /*slot*/) {
+          engines_[s]->Resync(parent);
+          summaries[s] = engines_[s]->ExportWorkerSummary();
+          if (size_summaries) {
+            summary_bytes[s] =
+                static_cast<double>(summaries[s].ToJson().Dump().size());
+          }
+          done_seconds[s] = total.ElapsedSeconds();
+        });
+    const double all_done = total.ElapsedSeconds();
+    for (int s = 0; s < shards; ++s) {
+      if (ShardMetricSet* m = Metrics(s)) {
+        m->summary_bytes->Increment(summary_bytes[s]);
+      }
     }
-    streaming::WorkerSummary merged;
-    for (size_t s = 0; s < engines_.size(); ++s) {
-      streaming::WorkerSummary summary = engines_[s]->ExportWorkerSummary();
-      if (ShardMetricSet* m = Metrics(static_cast<int>(s))) {
-        m->summary_bytes->Increment(
-            static_cast<double>(summary.ToJson().Dump().size()));
-      }
-      if (s == 0) {
-        merged = std::move(summary);
-      } else {
-        util::Status status = merged.Merge(summary);
-        if (!status.ok()) return status;
-      }
+    streaming::WorkerSummary merged = std::move(summaries[0]);
+    for (int s = 1; s < shards; ++s) {
+      util::Status status = merged.Merge(summaries[s]);
+      if (!status.ok()) return status;
     }
     for (auto& engine : engines_) {
       util::Status status = engine->AdoptWorkerSummary(merged);
       if (!status.ok()) return status;
     }
     ++barriers_;
-    const double elapsed = total.ElapsedSeconds();
-    for (size_t s = 0; s < engines_.size(); ++s) {
-      if (ShardMetricSet* m = Metrics(static_cast<int>(s))) {
+    for (int s = 0; s < shards; ++s) {
+      if (ShardMetricSet* m = Metrics(s)) {
         m->barriers->Increment();
-        // In-process shards run the barrier serially; a shard's "wait" is
-        // the barrier's span minus its own local resync.
-        m->barrier_wait->Observe(std::max(0.0, elapsed - local_seconds[s]));
+        // In-process shards run concurrently; a shard's "wait" is how long
+        // its finished local work waited for the slowest peer's.
+        m->barrier_wait->Observe(all_done - done_seconds[s]);
       }
     }
     return util::Status::Ok();

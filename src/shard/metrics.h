@@ -7,7 +7,8 @@
 //
 //   crowdtruth_shard_barrier_wait_seconds   (histogram) time a shard spent
 //       waiting at a barrier for its peers (poll time for worker
-//       processes; barrier span minus own local work in-process);
+//       processes; in-process, where shards run concurrently, how long
+//       its finished local work waited for the slowest peer's);
 //   crowdtruth_shard_summary_bytes_total    (counter) serialized worker-
 //       summary bytes this shard contributed to all-reduces;
 //   crowdtruth_shard_checkpoint_seconds     (histogram) wall-clock cost of

@@ -198,9 +198,11 @@ class StreamEngine {
     return util::Status::Ok();
   }
 
-  // Full batch resync (see IncrementalCategoricalMethod::Resync).
-  BatchResult Resync() {
-    obs::Span span("engine_resync");
+  // Full batch resync (see IncrementalCategoricalMethod::Resync). The
+  // engine_resync span nests under `parent` when given (a shard barrier
+  // running this resync on a pool worker), else under this thread's span.
+  BatchResult Resync(const obs::SpanContext& parent = obs::SpanContext()) {
+    obs::Span span("engine_resync", parent);
     const auto before = method_->Estimates();
     util::Stopwatch stopwatch;
     BatchResult result = method_->Resync();

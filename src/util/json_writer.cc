@@ -1,18 +1,25 @@
 #include "util/json_writer.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <system_error>
 
 #include "util/logging.h"
 
 namespace crowdtruth::util {
 
 void JsonEscape(std::string_view text, std::string& out) {
-  for (unsigned char c : text) {
+  // Bytes that need no escape are copied in runs, not one at a time.
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -35,16 +42,15 @@ void JsonEscape(std::string_view text, std::string& out) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (c < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);
 }
 
 std::string JsonEscape(std::string_view text) {
@@ -54,19 +60,48 @@ std::string JsonEscape(std::string_view text) {
   return out;
 }
 
-std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "null";
+void JsonNumber(double value, std::string& out) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
   char buffer[32];
+  char* const limit = buffer + sizeof(buffer);
+  char* end = buffer;
   if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
-    std::snprintf(buffer, sizeof(buffer), "%.0f", value);
-    return buffer;
+    // The %.0f text: the integer digits, with the sign kept on -0.
+    if (std::signbit(value)) *end++ = '-';
+    end = std::to_chars(end, limit, static_cast<int64_t>(std::fabs(value)))
+              .ptr;
+  } else {
+    // Shortest of %.15g / %.16g / %.17g that parses back exactly. No
+    // text with fewer significant digits than the shortest round-trip
+    // form (scientific, so its digits are all significant) parses back,
+    // so the search starts there; %.17g always does, unchecked.
+    const char* const shortest =
+        std::to_chars(buffer, limit, value, std::chars_format::scientific)
+            .ptr;
+    int digits = 0;
+    for (const char* c = buffer; c != shortest && *c != 'e'; ++c) {
+      digits += *c >= '0' && *c <= '9';
+    }
+    for (int precision = std::max(15, digits);; ++precision) {
+      end = std::to_chars(buffer, limit, value, std::chars_format::general,
+                          precision)
+                .ptr;
+      if (precision >= 17) break;
+      double parsed = 0.0;
+      std::from_chars(buffer, end, parsed);
+      if (parsed == value) break;
+    }
   }
-  // Shortest of %.15g / %.16g / %.17g that parses back exactly.
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
-  }
-  return buffer;
+  out.append(buffer, end);
+}
+
+std::string JsonNumber(double value) {
+  std::string out;
+  JsonNumber(value, out);
+  return out;
 }
 
 void JsonWriter::BeforeValue() {
@@ -76,20 +111,20 @@ void JsonWriter::BeforeValue() {
     pending_key_ = false;
     return;
   }
-  if (has_value_.back()) out_ << ',';
+  if (has_value_.back()) out_ += ',';
   has_value_.back() = true;
   NewlineAndIndent();
 }
 
 void JsonWriter::NewlineAndIndent() {
   if (indent_ < 0) return;
-  out_ << '\n';
-  for (size_t i = 0; i < has_value_.size() * indent_; ++i) out_ << ' ';
+  out_ += '\n';
+  out_.append(has_value_.size() * indent_, ' ');
 }
 
 void JsonWriter::BeginObject() {
   BeforeValue();
-  out_ << '{';
+  out_ += '{';
   has_value_.push_back(false);
 }
 
@@ -98,12 +133,12 @@ void JsonWriter::EndObject() {
   const bool had_values = has_value_.back();
   has_value_.pop_back();
   if (had_values) NewlineAndIndent();
-  out_ << '}';
+  out_ += '}';
 }
 
 void JsonWriter::BeginArray() {
   BeforeValue();
-  out_ << '[';
+  out_ += '[';
   has_value_.push_back(false);
 }
 
@@ -112,42 +147,47 @@ void JsonWriter::EndArray() {
   const bool had_values = has_value_.back();
   has_value_.pop_back();
   if (had_values) NewlineAndIndent();
-  out_ << ']';
+  out_ += ']';
 }
 
 void JsonWriter::Key(std::string_view key) {
   CROWDTRUTH_CHECK(!has_value_.empty()) << "Key outside an object";
-  if (has_value_.back()) out_ << ',';
+  if (has_value_.back()) out_ += ',';
   has_value_.back() = true;
   NewlineAndIndent();
-  out_ << '"' << JsonEscape(key) << "\":";
-  if (indent_ >= 0) out_ << ' ';
+  out_ += '"';
+  JsonEscape(key, out_);
+  out_ += indent_ >= 0 ? "\": " : "\":";
   pending_key_ = true;
 }
 
 void JsonWriter::String(std::string_view value) {
   BeforeValue();
-  out_ << '"' << JsonEscape(value) << '"';
+  out_ += '"';
+  JsonEscape(value, out_);
+  out_ += '"';
 }
 
 void JsonWriter::Number(double value) {
   BeforeValue();
-  out_ << JsonNumber(value);
+  JsonNumber(value, out_);
 }
 
 void JsonWriter::Int(int64_t value) {
   BeforeValue();
-  out_ << value;
+  char buffer[24];
+  out_.append(buffer,
+              std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
 }
 
 void JsonWriter::Bool(bool value) {
   BeforeValue();
-  out_ << (value ? "true" : "false");
+  out_ += value ? "true" : "false";
 }
 
 void JsonWriter::Null() {
   BeforeValue();
-  out_ << "null";
+  out_ += "null";
 }
 
 void JsonValue::Append(JsonValue value) {
@@ -208,10 +248,10 @@ void JsonValue::Write(JsonWriter& writer) const {
 }
 
 std::string JsonValue::Dump(int indent) const {
-  std::ostringstream out;
+  std::string out;
   JsonWriter writer(out, indent);
   Write(writer);
-  return out.str();
+  return out;
 }
 
 namespace {
@@ -413,8 +453,7 @@ class Parser {
 
   Status ParseNumber(JsonValue* value) {
     const size_t start = pos_;
-    if (Consume('-')) {
-    }
+    Consume('-');
     while (pos_ < text_.size() &&
            (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
             text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
@@ -422,12 +461,23 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) return Fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      pos_ = start;
-      return Fail("malformed number");
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    double parsed = 0.0;
+    const std::from_chars_result result =
+        std::from_chars(first, last, parsed);
+    if (result.ec != std::errc() || result.ptr != last) {
+      // from_chars takes a subset of strtod's grammar (no leading '+') and
+      // reports out-of-range magnitudes instead of rounding them to inf or
+      // 0. Hand everything it does not take to strtod, so the accepted set
+      // and the values stay strtod's.
+      const std::string token(first, last);
+      char* end = nullptr;
+      parsed = std::strtod(token.c_str(), &end);
+      if (end != token.c_str() + token.size()) {
+        pos_ = start;
+        return Fail("malformed number");
+      }
     }
     *value = JsonValue(parsed);
     return Status::Ok();
@@ -446,9 +496,7 @@ Status ParseJson(std::string_view text, JsonValue* value) {
 Status WriteJsonFile(const std::string& path, const JsonValue& value) {
   std::ofstream out(path);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
-  JsonWriter writer(out, /*indent=*/2);
-  value.Write(writer);
-  out << '\n';
+  out << value.Dump(/*indent=*/2) << '\n';
   out.flush();
   if (!out) return Status::IoError("failed writing " + path);
   return Status::Ok();

@@ -1,21 +1,22 @@
 // Dependency-free JSON emission (and a small parser for round-trip tests
 // and report validation). Two layers:
 //
-//   * JsonWriter — streaming emitter over an ostream; the caller drives
-//     Begin/End/Key/value calls and the writer handles commas, indentation
-//     and string escaping. Use it to spill large documents without
-//     materializing them.
+//   * JsonWriter — an emitter appending to one std::string; the caller
+//     drives Begin/End/Key/value calls and the writer handles commas,
+//     indentation and string escaping.
 //   * JsonValue — an ordered DOM (objects preserve insertion order) with
 //     Dump(), convenient for assembling run reports and bench records.
 //
 // Non-finite doubles serialize as null (JSON has no NaN/Infinity); integral
 // doubles print without an exponent or trailing ".0"; everything else uses
-// %.17g so values round-trip through strtod exactly.
+// the shortest of %.15g / %.16g / %.17g that parses back exactly, so values
+// round-trip through strtod bit for bit. Numbers are formatted and checked
+// with std::to_chars / std::from_chars, which produce the printf/strtod
+// text without the C library's locale and stream machinery.
 #ifndef CROWDTRUTH_UTIL_JSON_WRITER_H_
 #define CROWDTRUTH_UTIL_JSON_WRITER_H_
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -30,14 +31,16 @@ namespace crowdtruth::util {
 void JsonEscape(std::string_view text, std::string& out);
 std::string JsonEscape(std::string_view text);
 
-// Formats one JSON number token (see header comment for the rules).
+// Formats one JSON number token (see header comment for the rules); the
+// first form appends it to `out`.
+void JsonNumber(double value, std::string& out);
 std::string JsonNumber(double value);
 
 class JsonWriter {
  public:
-  // indent < 0 emits compact JSON; otherwise nested values are pretty-
-  // printed with `indent` spaces per level.
-  explicit JsonWriter(std::ostream& out, int indent = -1)
+  // Appends to `out`. indent < 0 emits compact JSON; otherwise nested
+  // values are pretty-printed with `indent` spaces per level.
+  explicit JsonWriter(std::string& out, int indent = -1)
       : out_(out), indent_(indent) {}
 
   void BeginObject();
@@ -57,7 +60,7 @@ class JsonWriter {
   void BeforeValue();
   void NewlineAndIndent();
 
-  std::ostream& out_;
+  std::string& out_;
   int indent_;
   // One frame per open container: whether it has emitted a value yet.
   std::vector<bool> has_value_;
@@ -126,8 +129,10 @@ class JsonValue {
 };
 
 // Strict-enough recursive-descent parser for the documents this library
-// emits (full JSON minus exotic numbers like 1e999). Rejects trailing
-// garbage. On success stores the root in `*value`.
+// emits. A number token (digits, '.', 'e'/'E' and signs) is accepted
+// exactly when strtod takes all of it, with strtod's value, so a leading
+// '+' is accepted and 1e999 parses as infinity. Rejects trailing garbage.
+// On success stores the root in `*value`.
 Status ParseJson(std::string_view text, JsonValue* value);
 
 // Writes `value` to `path`, pretty-printed, with a trailing newline.

@@ -26,6 +26,12 @@ std::atomic<int64_t> g_tasks{0};
 ShardedCounter<kMaxTrackedSlots>& g_slot_tasks =
     *new ShardedCounter<kMaxTrackedSlots>();
 
+// True while this thread runs tasks of a pooled region, as its caller
+// (slot 0) or as a worker. A ParallelForSlotted call made from inside such
+// a task runs inline: the pool is busy with the enclosing region, whose
+// caller holds run_mutex_ until every task — this one included — returns.
+thread_local bool t_inside_region = false;
+
 inline void NoteSlotTasks(int slot, int64_t executed) {
   if (executed == 0) return;
   g_tasks.fetch_add(executed, std::memory_order_relaxed);
@@ -38,7 +44,9 @@ inline void NoteSlotTasks(int slot, int64_t executed) {
 // process exit (they hold no resources beyond their stacks). One region
 // runs at a time: Run() serializes concurrent callers, which keeps the
 // shard/slot contract simple and avoids oversubscription when an outer
-// ParallelFor (experiment trials) wraps inner slotted loops.
+// ParallelFor (experiment trials) wraps inner slotted loops. A region
+// started from inside a task (a shard barrier's resync reaching the EM
+// kernel) never gets here; it runs inline on the calling worker.
 class SlottedPool {
  public:
   static SlottedPool& Instance() {
@@ -93,6 +101,7 @@ class SlottedPool {
   }
 
   void Drain(int slot) {
+    t_inside_region = true;
     int64_t executed = 0;
     while (true) {
       const int index = next_.fetch_add(1, std::memory_order_relaxed);
@@ -100,6 +109,7 @@ class SlottedPool {
       (*fn_)(index, slot);
       ++executed;
     }
+    t_inside_region = false;
     NoteSlotTasks(slot, executed);
   }
 
@@ -145,7 +155,7 @@ void ParallelForSlotted(int count, int num_threads,
                         const std::function<void(int, int)>& fn) {
   if (count <= 0) return;
   g_regions.fetch_add(1, std::memory_order_relaxed);
-  if (std::min(num_threads, count) <= 1) {
+  if (std::min(num_threads, count) <= 1 || t_inside_region) {
     for (int i = 0; i < count; ++i) fn(i, 0);
     NoteSlotTasks(0, count);
     return;

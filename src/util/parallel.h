@@ -32,8 +32,11 @@ void ParallelFor(int count, int num_threads,
 // the executing worker so callers can maintain per-slot scratch buffers
 // (slot 0 is the calling thread). fn must not throw, and must write only
 // state owned by its index (plus its slot's scratch). Invocations are
-// serialized across concurrent callers — nested calls from inside fn
-// deadlock. num_threads <= 1 runs inline with slot 0.
+// serialized across concurrent callers. num_threads <= 1 runs inline with
+// slot 0, and so does a nested call made from inside fn: it runs on the
+// worker that makes it, with slots numbered from 0 again, so its per-slot
+// scratch must belong to that call (as the EM kernel's does), not to the
+// enclosing region.
 void ParallelForSlotted(int count, int num_threads,
                         const std::function<void(int, int)>& fn);
 

@@ -183,6 +183,38 @@ TEST(RetuneStepTest, DrainedBacklogRelaxesTowardBaseline) {
   EXPECT_EQ(decision.max_dirty_tasks, 32);
 }
 
+TEST(RetuneStepTest, DrainedBacklogRestoresResyncsOff) {
+  // resync_interval=0 is the operator turning periodic resyncs off.
+  // Backlog pressure still forces a cadence on...
+  const auto config = TestConfig();
+  server::RetuneDecision decision = server::RetuneStep(
+      0, 32, /*baseline_resync_interval=*/0, /*baseline_max_dirty_tasks=*/32,
+      Signals(50e-6, /*backlog=*/100), config);
+  EXPECT_EQ(decision.resync_interval, config.min_resync_interval);
+  // ...a moderate backlog holds it...
+  decision = server::RetuneStep(decision.resync_interval,
+                                decision.max_dirty_tasks, 0, 32,
+                                Signals(50e-6, /*backlog=*/5), config);
+  EXPECT_FALSE(decision.changed);
+  // ...a blown tail keeps it on even with the backlog drained...
+  decision = server::RetuneStep(decision.resync_interval,
+                                decision.max_dirty_tasks, 0, 32,
+                                TailSignals(50e-6, 1e-3, /*backlog=*/0),
+                                config);
+  EXPECT_EQ(decision.resync_interval, config.min_resync_interval);
+  // ...and once the backlog drains with a healthy tail, it is off again.
+  decision = server::RetuneStep(decision.resync_interval,
+                                decision.max_dirty_tasks, 0, 32,
+                                TailSignals(50e-6, 200e-6, /*backlog=*/0),
+                                config);
+  EXPECT_TRUE(decision.changed);
+  EXPECT_EQ(decision.resync_interval, 0);
+  // Off and healthy stays off.
+  decision = server::RetuneStep(0, 32, 0, 32, Signals(50e-6, 0), config);
+  EXPECT_FALSE(decision.changed);
+  EXPECT_EQ(decision.resync_interval, 0);
+}
+
 TEST(RetuneStepTest, ModerateBacklogHolds) {
   const auto config = TestConfig();
   const server::RetuneDecision decision = server::RetuneStep(

@@ -1,8 +1,12 @@
 // Tests for span tracing (obs/span.h), the flight recorder
 // (obs/flight_recorder.h) and the Chrome trace_event export
-// (obs/trace_export.h): parenting via the thread-local stack, per-thread
-// rings with bounded memory, and the exported JSON shape.
+// (obs/trace_export.h): parenting via the thread-local stack and via an
+// explicit parent across threads (the shard barrier's pool tasks),
+// per-thread rings with bounded memory, and the exported JSON shape.
+#include <cstdlib>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -13,6 +17,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/span.h"
 #include "obs/trace_export.h"
+#include "shard/coordinator.h"
 #include "util/json_writer.h"
 
 namespace crowdtruth::obs {
@@ -131,6 +136,109 @@ TEST(SpanTest, ChildStartsNestWithinParentTimeline) {
   EXPECT_GE(child->start_seconds, root->start_seconds);
   EXPECT_LE(child->start_seconds + child->duration_seconds,
             root->start_seconds + root->duration_seconds + 1e-9);
+}
+
+TEST(SpanTest, ExplicitParentLinksAcrossThreads) {
+  ScopedRecorder recorder;
+  {
+    Span root("barrier");
+    const SpanContext parent = root.context();
+    std::thread worker([parent]() {
+      Span task("task", parent);
+      { Span leaf("leaf"); }  // nests under `task` through the thread stack
+    });
+    worker.join();
+    { Span after("after"); }  // this thread's stack is untouched
+  }
+  { Span fallback("fallback", SpanContext()); }  // zero context: a root
+  const std::vector<SpanRecord> spans = recorder.get()->Dump();
+  ASSERT_EQ(spans.size(), 5u);
+  const SpanRecord* root = FindByName(spans, "barrier");
+  const SpanRecord* task = FindByName(spans, "task");
+  const SpanRecord* leaf = FindByName(spans, "leaf");
+  const SpanRecord* after = FindByName(spans, "after");
+  const SpanRecord* fallback = FindByName(spans, "fallback");
+  ASSERT_NE(root, nullptr);
+  ASSERT_NE(task, nullptr);
+  ASSERT_NE(leaf, nullptr);
+  ASSERT_NE(after, nullptr);
+  ASSERT_NE(fallback, nullptr);
+  EXPECT_NE(task->thread_index, root->thread_index);
+  EXPECT_EQ(task->parent_id, root->span_id);
+  EXPECT_EQ(task->trace_id, root->trace_id);
+  EXPECT_EQ(leaf->parent_id, task->span_id);
+  EXPECT_EQ(leaf->trace_id, root->trace_id);
+  EXPECT_EQ(after->parent_id, root->span_id);
+  EXPECT_EQ(fallback->parent_id, 0u);
+  EXPECT_NE(fallback->trace_id, root->trace_id);
+}
+
+// Sets CROWDTRUTH_THREADS (the shard barrier's pool width) for a scope.
+class ScopedThreadsEnv {
+ public:
+  explicit ScopedThreadsEnv(const char* value) {
+    if (const char* old = std::getenv("CROWDTRUTH_THREADS")) saved_ = old;
+    setenv("CROWDTRUTH_THREADS", value, /*overwrite=*/1);
+  }
+  ~ScopedThreadsEnv() {
+    if (saved_.has_value()) {
+      setenv("CROWDTRUTH_THREADS", saved_->c_str(), /*overwrite=*/1);
+    } else {
+      unsetenv("CROWDTRUTH_THREADS");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+// The tree a traced shard barrier records: shard_barrier -> one
+// engine_resync per shard -> em_run -> EM steps, in one trace, whichever
+// pool thread ran each shard's resync.
+TEST(SpanTest, ShardBarrierTreeSpansThePool) {
+  const ScopedThreadsEnv threads("4");
+  std::unique_ptr<shard::CategoricalShardCoordinator> coordinator;
+  shard::CoordinatorConfig config;
+  config.shard_count = 4;
+  config.method = "D&S";
+  config.num_choices = 3;
+  ASSERT_TRUE(
+      shard::CategoricalShardCoordinator::Create(config, &coordinator).ok());
+  for (int t = 0; t < 40; ++t) {
+    for (int w = 0; w < 5; ++w) {
+      ASSERT_TRUE(coordinator
+                      ->Observe("t" + std::to_string(t),
+                                "w" + std::to_string(w), (t * w + t) % 3)
+                      .ok());
+    }
+  }
+  ScopedRecorder recorder;
+  ASSERT_TRUE(coordinator->RunBarrier().ok());
+  const std::vector<SpanRecord> spans = recorder.get()->Dump();
+  const SpanRecord* barrier = FindByName(spans, "shard_barrier");
+  ASSERT_NE(barrier, nullptr);
+  EXPECT_EQ(barrier->parent_id, 0u);
+  std::map<uint64_t, const SpanRecord*> by_id;
+  for (const SpanRecord& span : spans) by_id[span.span_id] = &span;
+  int resyncs = 0;
+  int em_runs = 0;
+  for (const SpanRecord& span : spans) {
+    // One tree: every span the barrier recorded shares its trace and
+    // resolves its parent inside the dump.
+    EXPECT_EQ(span.trace_id, barrier->trace_id) << span.name;
+    if (&span != barrier) {
+      ASSERT_EQ(by_id.count(span.parent_id), 1u) << span.name;
+    }
+    if (span.name == "engine_resync") {
+      ++resyncs;
+      EXPECT_EQ(span.parent_id, barrier->span_id);
+    } else if (span.name == "em_run") {
+      ++em_runs;
+      EXPECT_EQ(by_id[span.parent_id]->name, "engine_resync");
+    }
+  }
+  EXPECT_EQ(resyncs, 4);
+  EXPECT_EQ(em_runs, 4);
 }
 
 TEST(FlightRecorderTest, RingOverwritesOldestAndCountsDrops) {

@@ -2,6 +2,7 @@
 // (same log, any shard count, kill-and-restart at any checkpoint -> the
 // same truth, bit for bit), checkpoint envelope versioning, deterministic
 // task partitioning, answer-log shard slices and worker-summary merging.
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -233,6 +234,71 @@ TEST_P(ShardIdentityTest, CheckpointRestartBitIdentical) {
     EXPECT_EQ(resumed.labels, expected.labels) << "cut=" << cut;
     EXPECT_EQ(resumed.worker_quality, expected.worker_quality)
         << "cut=" << cut;
+  }
+}
+
+// The state every shard serves after one barrier: estimates, worker
+// qualities (as bits) and the full engine snapshot.
+struct ShardState {
+  std::vector<data::LabelId> estimates;
+  std::vector<uint64_t> quality_bits;
+  std::string snapshot;
+};
+
+// Replays `stream` through a 4-shard coordinator with CROWDTRUTH_THREADS
+// set to `threads` (the barrier's pool width), running a barrier every 37
+// records and after the last, and records every shard's state after
+// every barrier.
+std::vector<ShardState> BarrierStates(const std::string& method,
+                                      const std::vector<StreamAnswer>& stream,
+                                      const char* threads) {
+  setenv("CROWDTRUTH_THREADS", threads, /*overwrite=*/1);
+  std::vector<ShardState> states;
+  std::unique_ptr<CategoricalShardCoordinator> coordinator;
+  EXPECT_TRUE(CategoricalShardCoordinator::Create(MakeConfig(method, 4, 0),
+                                                  &coordinator)
+                  .ok());
+  for (size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_TRUE(coordinator
+                    ->Observe(stream[i].task, stream[i].worker,
+                              stream[i].label)
+                    .ok());
+    if ((i + 1) % 37 != 0 && i + 1 != stream.size()) continue;
+    EXPECT_TRUE(coordinator->RunBarrier().ok());
+    for (int s = 0; s < coordinator->shard_count(); ++s) {
+      const auto& engine = coordinator->engine(s);
+      ShardState state;
+      state.estimates = engine.method().Estimates();
+      for (const double q : engine.method().WorkerQualities()) {
+        state.quality_bits.push_back(std::bit_cast<uint64_t>(q));
+      }
+      state.snapshot = engine.Snapshot().Dump();
+      states.push_back(std::move(state));
+    }
+  }
+  unsetenv("CROWDTRUTH_THREADS");
+  return states;
+}
+
+// Barriers run their per-shard work concurrently on the worker pool; the
+// state every shard serves after each barrier — not just the final
+// GlobalResync — must not depend on the pool's width.
+TEST_P(ShardIdentityTest, EveryBarrierIdenticalAtAnyPoolWidth) {
+  const std::string method = GetParam();
+  const std::vector<StreamAnswer> stream = MakeStream(80, 5, 31);
+  const std::vector<ShardState> serial = BarrierStates(method, stream, "1");
+  const std::vector<ShardState> pooled = BarrierStates(method, stream, "4");
+  ASSERT_EQ(serial.size(), pooled.size());
+  ASSERT_GT(serial.size(), 4u);
+  for (size_t i = 0; i < serial.size(); ++i) {
+    const size_t barrier = i / 4;
+    const size_t shard = i % 4;
+    EXPECT_EQ(serial[i].estimates, pooled[i].estimates)
+        << "barrier " << barrier << " shard " << shard;
+    EXPECT_EQ(serial[i].quality_bits, pooled[i].quality_bits)
+        << "barrier " << barrier << " shard " << shard;
+    EXPECT_EQ(serial[i].snapshot, pooled[i].snapshot)
+        << "barrier " << barrier << " shard " << shard;
   }
 }
 

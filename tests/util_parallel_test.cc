@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -101,6 +102,48 @@ TEST(ParallelForSlottedTest, RepeatedRegionsReuseThePool) {
     ParallelForSlotted(32, 3, [&](int i, int) { visits[i].fetch_add(1); });
   }
   for (const auto& v : visits) EXPECT_EQ(v.load(), 50);
+}
+
+TEST(ParallelForSlottedTest, NestedRegionsRunInlineOnTheCallingWorker) {
+  // A shard barrier's per-shard task reaches the EM kernel, which opens a
+  // region of its own while the pool is busy with the barrier's. The
+  // inner region must run inline on the worker that opens it, slots
+  // numbered from 0 again, and compute exactly what it computes alone.
+  constexpr int kOuter = 8;
+  constexpr int kInner = 100;
+  std::vector<std::vector<long long>> nested(kOuter);
+  std::vector<std::atomic<int>> outer_visits(kOuter);
+  std::atomic<bool> moved_thread{false};
+  std::atomic<bool> inner_slot_nonzero{false};
+  ParallelForSlotted(kOuter, 4, [&](int i, int) {
+    outer_visits[i].fetch_add(1);
+    const std::thread::id owner = std::this_thread::get_id();
+    std::vector<long long> scratch(4, 0);  // per-slot, owned by this call
+    std::vector<long long>& out = nested[i];
+    out.assign(kInner, 0);
+    ParallelForSlotted(kInner, 4, [&](int j, int slot) {
+      if (std::this_thread::get_id() != owner) moved_thread.store(true);
+      if (slot != 0) inner_slot_nonzero.store(true);
+      scratch[slot] += j;
+      out[j] = static_cast<long long>(i) * 1000 + j;
+    });
+    out.push_back(std::accumulate(scratch.begin(), scratch.end(), 0LL));
+  });
+  for (const auto& v : outer_visits) EXPECT_EQ(v.load(), 1);
+  EXPECT_FALSE(moved_thread.load());
+  EXPECT_FALSE(inner_slot_nonzero.load());
+  for (int i = 0; i < kOuter; ++i) {
+    ASSERT_EQ(nested[i].size(), static_cast<size_t>(kInner) + 1);
+    for (int j = 0; j < kInner; ++j) {
+      EXPECT_EQ(nested[i][j], static_cast<long long>(i) * 1000 + j);
+    }
+    EXPECT_EQ(nested[i][kInner], kInner * (kInner - 1) / 2);
+  }
+  // The pool is free again: a top-level region after the nested ones
+  // still fans out and visits everything.
+  std::vector<std::atomic<int>> visits(64);
+  ParallelForSlotted(64, 4, [&](int i, int) { visits[i].fetch_add(1); });
+  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
 }
 
 TEST(DefaultThreadsTest, WithinBounds) {
