@@ -112,8 +112,8 @@ CategoricalRow RunCategoricalCase(
   row.resyncs = engine.stats().resyncs;
   row.resync_seconds = engine.stats().resync_seconds;
   row.mean_observe = engine.stats().observe_latency.mean();
-  row.p50_observe = engine.stats().observe_latency.Percentile(50.0);
-  row.p99_observe = engine.stats().observe_latency.Percentile(99.0);
+  row.p50_observe = engine.stats().observe_latency.Quantile(0.5);
+  row.p99_observe = engine.stats().observe_latency.Quantile(0.99);
   row.speedup =
       row.mean_observe > 0.0 ? batch_seconds / row.mean_observe : 0.0;
   return row;

@@ -95,18 +95,19 @@ EmLoopStats RunEmLoop(const EmDriver& driver, const std::vector<EmStep>& steps,
   EmLoopStats stats;
   obs::Span run_span("em_run");
   if (run_span.armed()) run_span.Annotate("method", driver.method);
-  IterationTracer tracer(driver.trace);
   EmContext context(driver.num_threads);
-  // Metrics phase timing is independent of the tracer: activating the
-  // tracer changes what methods compute for their delta (see
-  // IterationTracer::active), and metrics must never perturb a run.
+  // One phase clock feeds both consumers: the trace sink's per-iteration
+  // phase times and the registry's per-run phase totals. It is read once
+  // per phase boundary, and only when one of them is installed.
   obs::MetricRegistry* const metrics = obs::ProcessMetrics();
-  util::Stopwatch phase_watch;
+  const bool timed = driver.trace != nullptr || metrics != nullptr;
+  const util::Stopwatch clock;
   double truth_seconds = 0.0;
   double quality_seconds = 0.0;
   for (int iteration = 0; iteration < driver.max_iterations; ++iteration) {
     context.iteration_ = iteration;
-    tracer.BeginIteration();
+    IterationEvent event;
+    double mark = timed ? clock.ElapsedSeconds() : 0.0;
     for (const EmStep& step : steps) {
       obs::Span step_span(step.phase == TracePhase::kTruthStep
                               ? "em_truth_step"
@@ -114,22 +115,30 @@ EmLoopStats RunEmLoop(const EmDriver& driver, const std::vector<EmStep>& steps,
       if (step_span.armed()) {
         step_span.Annotate("iteration", static_cast<int64_t>(iteration));
       }
-      if (metrics != nullptr) phase_watch.Restart();
       step.run(context);
-      tracer.EndPhase(step.phase);
-      if (metrics != nullptr) {
-        (step.phase == TracePhase::kTruthStep ? truth_seconds
-                                              : quality_seconds) +=
-            phase_watch.ElapsedSeconds();
+      if (timed) {
+        const double now = clock.ElapsedSeconds();
+        (step.phase == TracePhase::kTruthStep ? event.truth_seconds
+                                              : event.quality_seconds) +=
+            now - mark;
+        mark = now;
       }
     }
+    truth_seconds += event.truth_seconds;
+    quality_seconds += event.quality_seconds;
+    // Only the trace sink may ask for a delta: tracing changes what some
+    // methods compute for it, and metrics must never perturb a run.
     const bool delta_needed =
         driver.convergence != EmConvergence::kFixedIterations ||
-        tracer.active();
+        driver.trace != nullptr;
     const double delta = measure(delta_needed);
     stats.iterations = iteration + 1;
     if (driver.record_trace) stats.convergence_trace.push_back(delta);
-    tracer.EndIteration(stats.iterations, delta);
+    if (driver.trace != nullptr) {
+      event.iteration = stats.iterations;
+      event.delta = delta;
+      driver.trace->OnIteration(event);
+    }
     bool converged = false;
     switch (driver.convergence) {
       case EmConvergence::kDeltaBelowTolerance:

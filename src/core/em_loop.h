@@ -3,10 +3,11 @@
 // Every iterative method alternates the same two phases — re-estimate
 // worker quality from the current truth ("quality step") and re-infer the
 // truth from the current qualities ("truth step") — wrapped in identical
-// bookkeeping: phase timing via IterationTracer, convergence measurement,
-// the convergence_trace / iterations / converged triple, and an early exit
-// when the parameter change falls below tolerance. RunEmLoop owns that
-// skeleton once; methods supply only their kernels.
+// bookkeeping: one phase clock feeding the TraceSink and the phase-seconds
+// metrics, convergence measurement, the convergence_trace / iterations /
+// converged triple, and an early exit when the parameter change falls
+// below tolerance. RunEmLoop owns that skeleton once; methods supply only
+// their kernels.
 //
 // A kernel is an EmStep: a phase tag (for tracing) plus a callback that
 // performs the phase's work. The callback receives an EmContext whose

@@ -21,8 +21,6 @@
 #include <mutex>
 #include <vector>
 
-#include "util/stopwatch.h"
-
 namespace crowdtruth::core {
 
 // The two phases of the unified framework's iteration. Methods whose
@@ -97,60 +95,6 @@ class StreamTraceSink : public TraceSink {
 
  private:
   std::ostream& out_;
-};
-
-// The helper the methods thread through their loops. All calls are no-ops
-// when `sink` is null, so untraced runs pay a single branch per call.
-//
-//   IterationTracer tracer(options.trace);
-//   for (int iteration = 0; ...; ++iteration) {
-//     tracer.BeginIteration();
-//     /* quality step */      tracer.EndPhase(TracePhase::kQualityStep);
-//     /* truth step */        tracer.EndPhase(TracePhase::kTruthStep);
-//     tracer.EndIteration(iteration + 1, change);
-//   }
-//
-// EndPhase accumulates the wall-clock since the previous mark (BeginIteration
-// or the previous EndPhase) into the named phase, so phases may run in any
-// order and more than once per iteration.
-class IterationTracer {
- public:
-  explicit IterationTracer(TraceSink* sink) : sink_(sink) {}
-
-  // True when a sink is installed; lets methods skip computing a delta that
-  // exists only for tracing (e.g. the Gibbs samplers' label-flip fraction).
-  bool active() const { return sink_ != nullptr; }
-
-  void BeginIteration() {
-    if (sink_ == nullptr) return;
-    truth_seconds_ = 0.0;
-    quality_seconds_ = 0.0;
-    stopwatch_.Restart();
-  }
-
-  void EndPhase(TracePhase phase) {
-    if (sink_ == nullptr) return;
-    const double elapsed = stopwatch_.ElapsedSeconds();
-    (phase == TracePhase::kTruthStep ? truth_seconds_ : quality_seconds_) +=
-        elapsed;
-    stopwatch_.Restart();
-  }
-
-  void EndIteration(int iteration, double delta) {
-    if (sink_ == nullptr) return;
-    IterationEvent event;
-    event.iteration = iteration;
-    event.delta = delta;
-    event.truth_seconds = truth_seconds_;
-    event.quality_seconds = quality_seconds_;
-    sink_->OnIteration(event);
-  }
-
- private:
-  TraceSink* sink_;
-  util::Stopwatch stopwatch_;
-  double truth_seconds_ = 0.0;
-  double quality_seconds_ = 0.0;
 };
 
 }  // namespace crowdtruth::core

@@ -4,7 +4,7 @@
 // observes the whole process from the outside — how many EM runs completed,
 // how many answers the streaming engine ingested, how much the validators
 // repaired, what the worker pool executed — and exposes the totals in
-// Prometheus text format (for a scraper hitting obs::MetricsHttpServer) or
+// Prometheus text format (for a scraper hitting server::StreamingServer) or
 // as JSON (via util/json_writer, for run reports and file dumps).
 //
 // Four instrument kinds, thread-safe throughout (the first three with
@@ -14,9 +14,7 @@
 //   * Gauge     — arbitrary settable double (backlog depth, peak RSS).
 //   * Histogram — fixed-bucket cumulative histogram; the log-scale bucket
 //                 layout bounds memory to O(buckets) regardless of sample
-//                 count — the bounded alternative to util::LatencyRecorder,
-//                 which keeps every raw sample alive (8 bytes per answer,
-//                 forever, on a long-lived stream).
+//                 count, however long the stream runs.
 //   * Digest    — a mutex-guarded obs::TDigest quantile sketch, exposed in
 //                 Prometheus summary form (quantile-labeled samples plus
 //                 _sum/_count). Buckets answer "how many samples fell

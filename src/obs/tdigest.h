@@ -62,6 +62,7 @@ class TDigest {
 
   int64_t count() const { return count_; }
   double sum() const { return sum_; }
+  double mean() const { return count_ == 0 ? 0.0 : sum_ / count_; }
   double min() const { return min_; }
   double max() const { return max_; }
   double compression() const { return compression_; }

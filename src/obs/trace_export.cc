@@ -1,5 +1,6 @@
 #include "obs/trace_export.h"
 
+#include <fstream>
 #include <utility>
 
 namespace crowdtruth::obs {
@@ -44,6 +45,17 @@ util::Status WriteTraceFile(const std::string& path,
                             const FlightRecorder& recorder) {
   return util::WriteJsonFile(
       path, TraceEventsJson(recorder.Dump(), recorder.dropped()));
+}
+
+util::Status WriteMetricsFile(const std::string& path,
+                              MetricRegistry& registry) {
+  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
+    return util::WriteJsonFile(path, registry.ToJson());
+  }
+  std::ofstream out(path);
+  if (out) registry.WritePrometheus(out);
+  if (!out.good()) return util::Status::IoError("cannot write " + path);
+  return util::Status::Ok();
 }
 
 }  // namespace crowdtruth::obs

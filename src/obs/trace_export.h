@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "util/json_writer.h"
 #include "util/status.h"
 
@@ -28,6 +29,11 @@ std::string TraceJsonText(const FlightRecorder& recorder);
 // Dumps `recorder` to `path` as trace-event JSON (the --trace_out flag).
 util::Status WriteTraceFile(const std::string& path,
                             const FlightRecorder& recorder);
+
+// Dumps `registry` to `path` (the --metrics_out flag): JSON when the path
+// ends in ".json", Prometheus text exposition otherwise.
+util::Status WriteMetricsFile(const std::string& path,
+                              MetricRegistry& registry);
 
 }  // namespace crowdtruth::obs
 

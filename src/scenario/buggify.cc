@@ -113,6 +113,26 @@ void BuggifyInitFromEnv() {
   EnableBuggify(config);
 }
 
+util::Status ArmBuggifyFromFlags(const util::Flags& flags) {
+  const std::string& seed_text = flags.Get("buggify_seed");
+  if (seed_text.empty()) {
+    BuggifyInitFromEnv();
+    return util::Status::Ok();
+  }
+  char* end = nullptr;
+  const unsigned long long seed = std::strtoull(seed_text.c_str(), &end, 10);
+  if (end == seed_text.c_str() || *end != '\0') {
+    return util::Status::InvalidArgument(
+        "--buggify_seed must be an unsigned integer");
+  }
+  BuggifyConfig config;
+  config.seed = seed;
+  config.activate_probability = flags.GetDouble("buggify_activate") / 100.0;
+  config.fire_probability = flags.GetDouble("buggify_fire") / 100.0;
+  EnableBuggify(config);
+  return util::Status::Ok();
+}
+
 bool Buggify(const char* site) {
   std::lock_guard<std::mutex> lock(g_mutex);
   if (g_context == nullptr) return false;

@@ -37,6 +37,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/flags.h"
 #include "util/status.h"
 
 namespace crowdtruth::scenario {
@@ -105,6 +106,14 @@ bool BuggifyEnabled();
 // default 25). Lets shell harnesses (tools/shard_e2e.sh) switch faults on
 // without new flags on every tool.
 void BuggifyInitFromEnv();
+
+// The tools' shared arming: an explicit --buggify_seed, with the
+// --buggify_activate / --buggify_fire percentages, wins over the
+// environment (BuggifyInitFromEnv). In a build without the sites compiled
+// in the schedule is still armed, so runs report "compiled out" and the
+// fault log stays empty. InvalidArgument when the seed is not an unsigned
+// integer.
+util::Status ArmBuggifyFromFlags(const util::Flags& flags);
 
 // The function behind the CROWDTRUTH_BUGGIFY macro: false unless buggify is
 // enabled, else one visit of `site` under the process context.

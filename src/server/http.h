@@ -1,8 +1,7 @@
 // HTTP message layer for the event-loop server (src/server/event_loop.h).
 //
-// The poll-based metrics exporter (obs/http_exporter.h) only ever parses a
-// GET request line; the serving plane also ingests POST bodies, so this
-// layer is a real — if deliberately small — HTTP/1.x message codec:
+// The serving plane ingests POST bodies as well as answering scrapes, so
+// this layer is a real — if deliberately small — HTTP/1.x message codec:
 //
 //   * HttpRequestParser — incremental parser fed from non-blocking reads.
 //     Accumulates the header block, then the body per Content-Length, and

@@ -363,7 +363,14 @@ HttpResponse StreamingServer::Handle(const HttpRequest& request) {
   }
   util::Stopwatch stopwatch;
   HttpResponse response;
-  if (request.path == "/healthz") {
+  const bool observability =
+      request.path == "/healthz" || request.path == "/metrics" ||
+      request.path == "/metrics.json" || request.path == "/debug/trace";
+  if (observability && request.method != "GET") {
+    response = JsonErrorResponse(405, "MethodNotAllowed",
+                                 request.method + " is not supported on " +
+                                     request.path);
+  } else if (request.path == "/healthz") {
     response.body = "ok\n";
   } else if (request.path == "/metrics") {
     if (registry_ != nullptr) {

@@ -31,10 +31,10 @@
 #include "core/trace.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "obs/tdigest.h"
 #include "streaming/incremental.h"
 #include "streaming/worker_summary.h"
 #include "util/json_writer.h"
-#include "util/latency.h"
 #include "util/logging.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -113,8 +113,10 @@ struct EngineConfig {
 struct EngineStats {
   int64_t answers = 0;
   int resyncs = 0;
-  // Per-answer Observe cost (interning + incremental update).
-  util::LatencyRecorder observe_latency;
+  // Per-answer Observe cost (interning + incremental update) as a t-digest:
+  // count, sum, max and quantiles in O(compression) memory however long
+  // the stream runs.
+  obs::TDigest observe_latency;
   // Total wall-clock spent inside resyncs.
   double resync_seconds = 0.0;
 };
@@ -177,7 +179,7 @@ class StreamEngine {
     util::Status status = method_->Observe(answer);
     if (!status.ok()) return status;
     const double seconds = stopwatch.ElapsedSeconds();
-    stats_.observe_latency.Record(seconds);
+    stats_.observe_latency.Add(seconds);
     ++stats_.answers;
     if (EngineMetricSet* m = Metrics()) {
       m->answers->Increment();
@@ -226,11 +228,11 @@ class StreamEngine {
       event.delta =
           internal_engine::EstimateDelta(before, method_->Estimates());
       event.truth_seconds =
-          stats_.observe_latency.total_seconds() - observe_seconds_traced_;
+          stats_.observe_latency.sum() - observe_seconds_traced_;
       event.quality_seconds = seconds;
       trace_->OnIteration(event);
     }
-    observe_seconds_traced_ = stats_.observe_latency.total_seconds();
+    observe_seconds_traced_ = stats_.observe_latency.sum();
     return result;
   }
 

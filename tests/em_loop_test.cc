@@ -1,16 +1,20 @@
 // Unit tests for the shared Algorithm-1 driver (core/em_loop.h): step
 // ordering, the three convergence rules, min_iterations, trace recording,
-// and the delta_needed contract of the measure callback.
+// the delta_needed contract of the measure callback, and the phase clock
+// shared by the trace sink and the phase-seconds metrics.
 #include "core/em_loop.h"
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/inference.h"
 #include "core/trace.h"
+#include "obs/metrics.h"
 #include "util/parallel.h"
 
 namespace crowdtruth::core {
@@ -154,6 +158,45 @@ TEST(RunEmLoopTest, DeltaNeededWhenTracing) {
   EXPECT_DOUBLE_EQ(sink.events()[0].delta, 0.5);
   EXPECT_EQ(sink.events()[2].iteration, 3);
   EXPECT_DOUBLE_EQ(sink.events()[2].delta, 1.5);
+}
+
+// One clock feeds both consumers: each phase's time lands in the event of
+// the phase that spent it (repeated phases accumulate), and the per-run
+// metrics totals are exactly the sums of the per-iteration event times.
+TEST(RunEmLoopTest, PhaseClockFeedsTraceAndMetrics) {
+  obs::MetricRegistry registry;
+  obs::InstallProcessMetrics(&registry);
+  CollectingTraceSink sink;
+  EmDriver driver = BasicDriver();
+  driver.method = "clock";
+  driver.convergence = EmConvergence::kFixedIterations;
+  driver.max_iterations = 2;
+  driver.trace = &sink;
+  const auto sleep = [](const EmContext&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  };
+  std::vector<EmStep> steps;
+  steps.push_back({TracePhase::kQualityStep, sleep});
+  steps.push_back({TracePhase::kTruthStep, sleep});
+  steps.push_back({TracePhase::kTruthStep, sleep});  // phases may repeat
+  RunEmLoop(driver, steps, [](bool) { return 0.5; });
+  obs::InstallProcessMetrics(nullptr);
+
+  ASSERT_EQ(sink.events().size(), 2u);
+  double truth_total = 0.0;
+  double quality_total = 0.0;
+  for (const IterationEvent& event : sink.events()) {
+    EXPECT_GE(event.truth_seconds, 0.004);
+    EXPECT_GE(event.quality_seconds, 0.002);
+    truth_total += event.truth_seconds;
+    quality_total += event.quality_seconds;
+  }
+  const auto total = [&registry](const char* name) {
+    return registry.FindCounterFamily(name)->WithLabels({"clock"}).Value();
+  };
+  EXPECT_EQ(total("crowdtruth_em_truth_step_seconds_total"), truth_total);
+  EXPECT_EQ(total("crowdtruth_em_quality_step_seconds_total"),
+            quality_total);
 }
 
 TEST(RunEmLoopTest, ContextExposesIterationIndex) {

@@ -189,19 +189,12 @@ TEST(WorkerStatsTest, BucketValuesClampsAndCounts) {
 
 // ---------------------------------------------------------------------------
 // Process-wide metric registry (src/obs): instruments, families, exposition
-// formats, collection hooks, concurrency (run under TSan in CI), and the
-// poll-based HTTP exporter.
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
+// formats, collection hooks and concurrency (run under TSan in CI).
 
 #include <atomic>
 #include <string>
 #include <thread>
 
-#include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/resource_sampler.h"
 
@@ -498,71 +491,6 @@ TEST(MetricRegistryTest, ConcurrentWritersAndScrapers) {
   EXPECT_DOUBLE_EQ(family.WithLabels({"0"}).Value() +
                        family.WithLabels({"1"}).Value(),
                    kThreads * kOps);
-}
-
-// Blocking client socket helper for the exporter test: sends `request` to
-// 127.0.0.1:`port` and reads the full close-terminated response while the
-// caller's lambda pumps the server.
-std::string HttpRoundTrip(MetricsHttpServer* server, int port,
-                          const std::string& request) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  EXPECT_EQ(send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buffer[4096];
-  for (int spins = 0; spins < 1000; ++spins) {
-    server->Poll(1);
-    const ssize_t n = recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT);
-    if (n > 0) {
-      response.append(buffer, static_cast<size_t>(n));
-    } else if (n == 0) {
-      break;  // Server closed after the response: message complete.
-    }
-  }
-  close(fd);
-  return response;
-}
-
-TEST(MetricsHttpServerTest, ServesMetricsHealthzAnd404) {
-  MetricRegistry registry;
-  registry.AddCounter("test_http_total", "Help.").Increment(5);
-  MetricsHttpServer server(&registry);
-  ASSERT_TRUE(server.Start(0).ok());
-  ASSERT_GT(server.port(), 0);
-
-  const std::string metrics = HttpRoundTrip(
-      &server, server.port(), "GET /metrics HTTP/1.0\r\n\r\n");
-  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_NE(metrics.find("test_http_total 5\n"), std::string::npos);
-
-  const std::string health = HttpRoundTrip(
-      &server, server.port(), "GET /healthz HTTP/1.0\r\n\r\n");
-  EXPECT_NE(health.find("200 OK"), std::string::npos);
-  EXPECT_NE(health.find("ok"), std::string::npos);
-
-  const std::string json = HttpRoundTrip(
-      &server, server.port(), "GET /metrics.json HTTP/1.0\r\n\r\n");
-  EXPECT_NE(json.find("200 OK"), std::string::npos);
-  EXPECT_NE(json.find("crowdtruth_metrics"), std::string::npos);
-
-  const std::string missing = HttpRoundTrip(
-      &server, server.port(), "GET /nope HTTP/1.0\r\n\r\n");
-  EXPECT_NE(missing.find("404"), std::string::npos);
-
-  const std::string post = HttpRoundTrip(
-      &server, server.port(), "POST /metrics HTTP/1.0\r\n\r\n");
-  EXPECT_NE(post.find("405"), std::string::npos);
-
-  server.Stop();
-  EXPECT_FALSE(server.serving());
 }
 
 TEST(ProcessMetricsTest, InstallAndClear) {

@@ -1,7 +1,16 @@
 // Tests for the multi-tenant streaming server core (src/server/server.h),
 // driven through the Handle() seam — no sockets, so every test is
-// deterministic and sanitizer-friendly. The socket path is covered by
+// deterministic and sanitizer-friendly. The exceptions are the
+// MetricsHttpServerTest round trips, which serve the tenant-less metrics
+// server over loopback; the rest of the socket path is covered by
 // event_loop_test.cc and the CI e2e script.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -101,6 +110,85 @@ TEST_F(ServerTest, RoutesHealthzAndMetrics) {
   const server::HttpResponse json = srv.Handle(Get("/metrics.json"));
   EXPECT_NE(json.body.find("crowdtruth_metrics"), std::string::npos);
   EXPECT_EQ(srv.Handle(Get("/nope")).status, 404);
+  // The observability routes are read-only.
+  const server::HttpResponse post = srv.Handle(Post("/metrics", ""));
+  EXPECT_EQ(post.status, 405);
+  EXPECT_NE(post.body.find("MethodNotAllowed"), std::string::npos);
+  EXPECT_EQ(srv.Handle(Post("/healthz", "")).status, 405);
+}
+
+// Sends `request` to the server on 127.0.0.1:`port` and reads the whole
+// close-terminated response, pumping the server with RunOnce(0) between
+// non-blocking reads the way crowdtruth_stream pumps its metrics server
+// from the replay loop. Gives up after five seconds.
+std::string HttpRoundTrip(server::StreamingServer* srv, int port,
+                          const std::string& request) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  EXPECT_EQ(send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  std::string response;
+  char buffer[4096];
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    srv->RunOnce(0);
+    const ssize_t n = recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT);
+    if (n > 0) {
+      response.append(buffer, static_cast<size_t>(n));
+    } else if (n == 0) {
+      break;  // Server closed after the response: message complete.
+    }
+  }
+  close(fd);
+  return response;
+}
+
+// The tenant-less server crowdtruth_stream --metrics_port starts: the
+// observability routes over a real socket, with no tenants and no
+// controller.
+TEST(MetricsHttpServerTest, ServesMetricsHealthzAnd404) {
+  obs::MetricRegistry registry;
+  registry.AddCounter("test_http_total", "Help.").Increment(5);
+  server::ServerConfig config;
+  config.port = 0;
+  config.controller_enabled = false;
+  server::StreamingServer srv(config, &registry);
+  ASSERT_TRUE(srv.Start().ok());
+  ASSERT_GT(srv.port(), 0);
+
+  const std::string metrics =
+      HttpRoundTrip(&srv, srv.port(), "GET /metrics HTTP/1.0\r\n\r\n");
+  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
+  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
+  EXPECT_NE(metrics.find("test_http_total 5\n"), std::string::npos);
+
+  const std::string health =
+      HttpRoundTrip(&srv, srv.port(), "GET /healthz HTTP/1.0\r\n\r\n");
+  EXPECT_NE(health.find("200 OK"), std::string::npos);
+  EXPECT_NE(health.find("ok"), std::string::npos);
+
+  const std::string json = HttpRoundTrip(
+      &srv, srv.port(), "GET /metrics.json HTTP/1.0\r\n\r\n");
+  EXPECT_NE(json.find("200 OK"), std::string::npos);
+  EXPECT_NE(json.find("crowdtruth_metrics"), std::string::npos);
+
+  const std::string missing =
+      HttpRoundTrip(&srv, srv.port(), "GET /nope HTTP/1.0\r\n\r\n");
+  EXPECT_NE(missing.find("404"), std::string::npos);
+
+  const std::string post =
+      HttpRoundTrip(&srv, srv.port(), "POST /metrics HTTP/1.0\r\n\r\n");
+  EXPECT_NE(post.find("405"), std::string::npos);
+
+  srv.Stop();
+  EXPECT_EQ(srv.port(), 0);
 }
 
 TEST_F(ServerTest, IngestCreatesTenantAndServesTruth) {

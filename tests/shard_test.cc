@@ -1,7 +1,8 @@
 // Tests for the sharded engine (src/shard/): the determinism contract
 // (same log, any shard count, kill-and-restart at any checkpoint -> the
-// same truth, bit for bit), checkpoint envelope versioning, deterministic
-// task partitioning, answer-log shard slices and worker-summary merging.
+// same truth, bit for bit), the replay driver, checkpoint envelope
+// versioning, deterministic task partitioning, answer-log shard slices and
+// worker-summary merging.
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include "data/answer_log.h"
 #include "shard/checkpoint.h"
 #include "shard/coordinator.h"
+#include "shard/replay.h"
 #include "streaming/engine.h"
 #include "streaming/registry.h"
 #include "streaming/worker_summary.h"
@@ -376,6 +378,103 @@ TEST(ShardCoordinatorTest, RejectionsMirrorSingleEngineSemantics) {
 }
 
 // --- Checkpoint envelope -----------------------------------------------
+
+// --- The replay driver (shard/replay.h) -------------------------------
+
+std::vector<data::AnswerLogRecord> ToRecords(
+    const std::vector<StreamAnswer>& stream) {
+  std::vector<data::AnswerLogRecord> records;
+  for (const StreamAnswer& answer : stream) {
+    data::AnswerLogRecord record;
+    record.task = answer.task;
+    record.worker = answer.worker;
+    record.label = answer.label;
+    record.sequence = static_cast<int64_t>(records.size());
+    records.push_back(std::move(record));
+  }
+  return records;
+}
+
+// Resuming from each checkpoint the driver wrote reaches the uninterrupted
+// run's GlobalResync bits.
+TEST(ShardReplayTest, ResumeFromEachCheckpointReproducesTheRun) {
+  const std::vector<data::AnswerLogRecord> records =
+      ToRecords(MakeStream(50, 5, 31));
+  const int64_t total = static_cast<int64_t>(records.size());
+  const std::string dir = ::testing::TempDir() + "/replay_driver_test";
+  ASSERT_EQ(0, system(("rm -rf " + dir + " && mkdir -p " + dir).c_str()));
+  ReplayConfig config;
+  config.coordinator = MakeConfig("D&S", 4, 29);
+  config.checkpoint_every = 40;
+  config.checkpoint_dir = dir;
+  std::unique_ptr<CategoricalShardReplay> replay;
+  ASSERT_TRUE(CategoricalShardReplay::Create(config, records, &replay).ok());
+  ASSERT_TRUE(replay->Run(total).ok());
+  EXPECT_EQ(replay->replayed(), total);
+  core::CategoricalResult expected;
+  ASSERT_TRUE(replay->coordinator().GlobalResync(&expected).ok());
+
+  ASSERT_GE(total / 40, 3);
+  config.checkpoint_every = 0;
+  for (int64_t at = 40; at <= total; at += 40) {
+    std::unique_ptr<CategoricalShardReplay> resumed;
+    ASSERT_TRUE(
+        CategoricalShardReplay::Create(config, records, &resumed).ok());
+    ASSERT_TRUE(
+        resumed->Resume(dir + "/" + CheckpointFileName("checkpoint", at))
+            .ok())
+        << "checkpoint " << at;
+    EXPECT_EQ(resumed->coordinator().next_sequence(), at);
+    ASSERT_TRUE(resumed->Run(total).ok());
+    EXPECT_EQ(resumed->replayed(), total - at);
+    core::CategoricalResult global;
+    ASSERT_TRUE(resumed->coordinator().GlobalResync(&global).ok());
+    EXPECT_EQ(global.labels, expected.labels) << "checkpoint " << at;
+    EXPECT_EQ(global.worker_quality, expected.worker_quality)
+        << "checkpoint " << at;
+  }
+
+  std::unique_ptr<CategoricalShardReplay> latest;
+  ASSERT_TRUE(CategoricalShardReplay::Create(config, records, &latest).ok());
+  std::string path;
+  ASSERT_TRUE(latest->ResumeLatest(dir, &path).ok());
+  EXPECT_EQ(path, dir + "/" + CheckpointFileName("checkpoint",
+                                                 total / 40 * 40));
+  ASSERT_EQ(0, system(("rm -rf " + dir).c_str()));
+}
+
+// A duplicate (task, worker) pair and an out-of-range label: the repair
+// policy skips both, each still consuming its slot; the reject policy
+// skips the duplicate (a resumed replay re-reads answers) but fails on the
+// out-of-range label.
+TEST(ShardReplayTest, RepairSkipsBadRecordsAndRejectFails) {
+  std::vector<data::AnswerLogRecord> records =
+      ToRecords(MakeStream(20, 4, 5));
+  const data::AnswerLogRecord duplicate = records[3];
+  data::AnswerLogRecord out_of_range = records[4];
+  out_of_range.task = "t_bad";
+  out_of_range.label = 7;
+  records.insert(records.begin() + 10, duplicate);
+  records.insert(records.begin() + 20, out_of_range);
+  const int64_t total = static_cast<int64_t>(records.size());
+
+  ReplayConfig config;
+  config.coordinator = MakeConfig("ZC", 2, 16);
+  std::unique_ptr<CategoricalShardReplay> repair;
+  ASSERT_TRUE(CategoricalShardReplay::Create(config, records, &repair).ok());
+  ASSERT_TRUE(repair->Run(total).ok());
+  EXPECT_EQ(repair->skipped(), 2);
+  EXPECT_EQ(repair->replayed(), total - 2);
+  EXPECT_EQ(repair->coordinator().next_sequence(), total);
+  EXPECT_EQ(repair->coordinator().answers_accepted(), total - 2);
+
+  config.on_bad_record = data::BadRecordPolicy::kReject;
+  std::unique_ptr<CategoricalShardReplay> reject;
+  ASSERT_TRUE(CategoricalShardReplay::Create(config, records, &reject).ok());
+  EXPECT_FALSE(reject->Run(total).ok());
+  EXPECT_EQ(reject->skipped(), 1);
+  EXPECT_EQ(reject->coordinator().next_sequence(), 21);
+}
 
 TEST(CheckpointTest, UnknownVersionIsTypedValidationError) {
   std::unique_ptr<CategoricalShardCoordinator> coordinator;

@@ -218,6 +218,28 @@ TEST(StreamEngineTest, PeriodicResyncFiresOnInterval) {
   EXPECT_EQ(engine.stats().observe_latency.count(), 35);
 }
 
+// EngineStats keeps the Observe latency in a t-digest, so a long-lived
+// engine (a server tenant) holds O(compression) latency state however many
+// answers it has seen, instead of one raw sample per answer.
+TEST(StreamEngineTest, ObserveLatencyStateStaysBounded) {
+  CategoricalStreamEngine engine(MakeIncrementalCategorical("MV", 2, {}),
+                                 EngineConfig{/*resync_interval=*/0});
+  std::vector<std::string> workers;
+  for (int w = 0; w < 250; ++w) workers.push_back("w" + std::to_string(w));
+  const obs::TDigest& latency = engine.stats().observe_latency;
+  const size_t bound = static_cast<size_t>(2.5 * latency.compression());
+  for (int t = 0; t < 400; ++t) {
+    const std::string task = "t" + std::to_string(t);
+    for (int w = 0; w < 250; ++w) {
+      ASSERT_TRUE(engine.Observe(task, workers[w], (t + w) % 2).ok());
+    }
+    ASSERT_LE(latency.Centroids().size(), bound) << "after task " << t;
+  }
+  EXPECT_EQ(latency.count(), 100000);
+  EXPECT_GT(latency.max(), 0.0);
+  EXPECT_LE(latency.Quantile(0.5), latency.max());
+}
+
 TEST(StreamEngineTest, RejectsDuplicateAnswerLeavingStateUntouched) {
   CategoricalStreamEngine engine(MakeIncrementalCategorical("ZC", 2, {}),
                                  EngineConfig{/*resync_interval=*/0});

@@ -108,31 +108,6 @@ TEST(TraceTest, StreamSinkPrintsIterationAndDelta) {
   EXPECT_NE(line.find("1.250e-01"), std::string::npos) << line;
 }
 
-TEST(TraceTest, IterationTracerIsNoOpWithoutSink) {
-  IterationTracer tracer(nullptr);
-  EXPECT_FALSE(tracer.active());
-  // None of these may crash or dereference anything.
-  tracer.BeginIteration();
-  tracer.EndPhase(TracePhase::kTruthStep);
-  tracer.EndIteration(1, 0.5);
-}
-
-TEST(TraceTest, IterationTracerAccumulatesPhases) {
-  CollectingTraceSink sink;
-  IterationTracer tracer(&sink);
-  EXPECT_TRUE(tracer.active());
-  tracer.BeginIteration();
-  tracer.EndPhase(TracePhase::kQualityStep);
-  tracer.EndPhase(TracePhase::kTruthStep);
-  tracer.EndPhase(TracePhase::kTruthStep);  // phases may repeat
-  tracer.EndIteration(1, 0.5);
-  ASSERT_EQ(sink.events().size(), 1u);
-  EXPECT_EQ(sink.events()[0].iteration, 1);
-  EXPECT_EQ(sink.events()[0].delta, 0.5);
-  EXPECT_GE(sink.events()[0].truth_seconds, 0.0);
-  EXPECT_GE(sink.events()[0].quality_seconds, 0.0);
-}
-
 TEST(RunReportTest, EvaluateCategoricalFillsReport) {
   const data::CategoricalDataset dataset =
       testing::PlantedDataset({.num_tasks = 80, .num_workers = 12}, 7);

@@ -29,7 +29,6 @@
 // JSON form when the path ends in ".json". Available methods: run with
 // --method=list.
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -267,35 +266,6 @@ int RunNumeric(const crowdtruth::util::Flags& flags) {
   return 0;
 }
 
-// Dumps the registry to `path`: JSON when the extension says so, otherwise
-// Prometheus text exposition. Returns 1 on I/O failure.
-int DumpMetrics(crowdtruth::obs::MetricRegistry* registry,
-                const std::string& path) {
-  const bool json = path.size() >= 5 &&
-                    path.compare(path.size() - 5, 5, ".json") == 0;
-  if (json) {
-    const Status status =
-        crowdtruth::util::WriteJsonFile(path, registry->ToJson());
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-  } else {
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "error: cannot open " << path << " for writing\n";
-      return 1;
-    }
-    registry->WritePrometheus(out);
-    if (!out.good()) {
-      std::cerr << "error: failed writing " << path << '\n';
-      return 1;
-    }
-  }
-  std::cout << "wrote metrics to " << path << '\n';
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -346,8 +316,14 @@ int main(int argc, char** argv) {
   }
   if (!metrics_out.empty()) {
     crowdtruth::obs::InstallProcessMetrics(nullptr);
-    const int dump_code = DumpMetrics(&registry, metrics_out);
-    if (code == 0) code = dump_code;
+    const crowdtruth::util::Status status =
+        crowdtruth::obs::WriteMetricsFile(metrics_out, registry);
+    if (!status.ok()) {
+      std::cerr << "error: " << status.ToString() << '\n';
+      if (code == 0) code = 1;
+    } else {
+      std::cout << "wrote metrics to " << metrics_out << '\n';
+    }
   }
   if (!trace_out.empty()) {
     crowdtruth::obs::InstallFlightRecorder(nullptr);

@@ -15,9 +15,9 @@
 // so a cell's bytes are a pure function of its configuration. A rerun
 // skips every cell whose file already exists with a matching config_hash:
 // kill the sweep anywhere (or bound it with --max_cells) and rerunning
-// completes the identical result set. That subsumes the old ad-hoc
-// `crowdtruth_shard --crash_after` harness: crash_restart is just one
-// policy column.
+// completes the identical result set. Every policy runs on the shared
+// shard replay driver (shard/replay.h); crash_restart is just one policy
+// column.
 //
 // Policies (all four must agree bit-for-bit — the PR8 determinism
 // contract, which the summary enforces):
@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -51,6 +50,7 @@
 #include "scenario/workload.h"
 #include "shard/checkpoint.h"
 #include "shard/coordinator.h"
+#include "shard/replay.h"
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
@@ -113,27 +113,6 @@ std::string HashHex(uint64_t hash) {
   return out;
 }
 
-struct LoadedLog {
-  data::AnswerLogHeader header;
-  std::vector<data::AnswerLogRecord> records;
-};
-
-Status LoadLog(const std::string& path, LoadedLog* out) {
-  data::AnswerLogReader reader;
-  Status status = reader.Open(path);
-  if (!status.ok()) return status;
-  out->header = reader.header();
-  data::AnswerLogRecord record;
-  bool eof = false;
-  while (true) {
-    status = reader.Next(&record, &eof);
-    if (!status.ok()) return status;
-    if (eof) break;
-    out->records.push_back(record);
-  }
-  return Status::Ok();
-}
-
 struct CellResult {
   int64_t answers = 0;
   int64_t skipped = 0;
@@ -144,29 +123,7 @@ struct CellResult {
 };
 
 using Coordinator = shard::CategoricalShardCoordinator;
-
-Status MakeCoordinator(const std::string& method, int num_choices,
-                       int shard_count, int64_t barrier_interval,
-                       uint64_t seed,
-                       std::unique_ptr<Coordinator>* coordinator) {
-  shard::CoordinatorConfig config;
-  config.shard_count = shard_count;
-  config.method = method;
-  config.num_choices = num_choices;
-  config.barrier_interval = barrier_interval;
-  config.options.batch.seed = static_cast<int>(seed);
-  return Coordinator::Create(config, coordinator);
-}
-
-Status ObserveRange(Coordinator& coordinator, const LoadedLog& log,
-                    int64_t begin, int64_t end, int64_t* skipped) {
-  for (int64_t i = begin; i < end; ++i) {
-    const Status status = coordinator.Observe(
-        log.records[i].task, log.records[i].worker, log.records[i].label);
-    if (!status.ok()) ++*skipped;
-  }
-  return Status::Ok();
-}
+using Replay = shard::CategoricalShardReplay;
 
 // Fingerprint + accuracy from the coordinator's global solve. The
 // fingerprint hashes "task=label" lines in global intern order, so two
@@ -194,95 +151,60 @@ void Summarize(const Coordinator& coordinator,
   cell->fingerprint = HashHex(hash);
 }
 
-Status RunDirect(const std::string& method, int num_choices,
-                 int shard_count, int64_t barrier_interval, uint64_t seed,
-                 const LoadedLog& log, const std::map<std::string, int>& truth,
-                 CellResult* cell) {
-  std::unique_ptr<Coordinator> coordinator;
-  Status status = MakeCoordinator(method, num_choices, shard_count,
-                                  barrier_interval, seed, &coordinator);
-  if (!status.ok()) return status;
-  status = ObserveRange(*coordinator, log, 0,
-                        static_cast<int64_t>(log.records.size()),
-                        &cell->skipped);
-  if (!status.ok()) return status;
-  Coordinator::BatchResult global;
-  status = coordinator->GlobalResync(&global);
-  if (!status.ok()) return status;
-  Summarize(*coordinator, global, truth, cell);
-  return Status::Ok();
-}
-
-// The crash_restart policy: consume to the midpoint writing periodic
-// checkpoints, throw the coordinator away (the "crash"), restore a fresh
-// one from the newest checkpoint on disk, replay the consumed prefix, and
-// finish the stream — the in-process equivalent of the old
-// `crowdtruth_shard --crash_after` + `--resume` shell dance. With Buggify
+// Runs one cell. batch is one shard without barriers, stream one shard
+// with them, shard4 and crash_restart four. crash_restart consumes to the
+// midpoint writing periodic checkpoints, throws the coordinator away (the
+// "crash"), restores a fresh one from the newest checkpoint on disk,
+// replays the consumed prefix and finishes the stream. With Buggify
 // enabled, the checkpoint_write and snapshot_restore sites fire right on
 // this path.
-Status RunCrashRestart(const std::string& method, int num_choices,
-                       int64_t barrier_interval, uint64_t seed,
-                       const LoadedLog& log,
-                       const std::map<std::string, int>& truth,
-                       const std::string& checkpoint_dir, CellResult* cell) {
-  std::error_code fs_error;
-  std::filesystem::remove_all(checkpoint_dir, fs_error);
-  std::filesystem::create_directories(checkpoint_dir, fs_error);
-  if (fs_error) {
-    return Status::IoError("cannot create " + checkpoint_dir + ": " +
-                           fs_error.message());
-  }
+Status RunCell(const std::string& policy, const std::string& method,
+               int num_choices, int64_t barrier_interval, uint64_t seed,
+               const shard::LoadedLog& log,
+               const std::map<std::string, int>& truth,
+               const std::string& checkpoint_dir, CellResult* cell) {
+  shard::ReplayConfig config;
+  config.coordinator.shard_count =
+      policy == "batch" || policy == "stream" ? 1 : 4;
+  config.coordinator.method = method;
+  config.coordinator.num_choices = num_choices;
+  config.coordinator.barrier_interval =
+      policy == "batch" ? 0 : barrier_interval;
+  config.coordinator.options.batch.seed = static_cast<int>(seed);
   const int64_t total = static_cast<int64_t>(log.records.size());
-  const int64_t mid = total / 2;
-  const int64_t checkpoint_every = std::max<int64_t>(1, mid / 2);
-
-  std::unique_ptr<Coordinator> coordinator;
-  Status status = MakeCoordinator(method, num_choices, /*shard_count=*/4,
-                                  barrier_interval, seed, &coordinator);
-  if (!status.ok()) return status;
-  int64_t skipped_before_crash = 0;
-  for (int64_t i = 0; i < mid; ++i) {
-    status = coordinator->Observe(log.records[i].task, log.records[i].worker,
-                                  log.records[i].label);
-    if (!status.ok()) ++skipped_before_crash;
-    if (coordinator->next_sequence() % checkpoint_every == 0) {
-      const std::string path =
-          checkpoint_dir + "/" +
-          shard::CheckpointFileName("checkpoint",
-                                    coordinator->next_sequence());
-      status = shard::WriteJsonFileAtomic(path, coordinator->MakeCheckpoint());
-      if (!status.ok()) return status;
+  std::unique_ptr<Replay> replay;
+  Status status;
+  if (policy == "crash_restart") {
+    std::error_code fs_error;
+    std::filesystem::remove_all(checkpoint_dir, fs_error);
+    std::filesystem::create_directories(checkpoint_dir, fs_error);
+    if (fs_error) {
+      return Status::IoError("cannot create " + checkpoint_dir + ": " +
+                             fs_error.message());
     }
+    shard::ReplayConfig before_crash = config;
+    before_crash.checkpoint_every = std::max<int64_t>(1, total / 2 / 2);
+    before_crash.checkpoint_dir = checkpoint_dir;
+    status = Replay::Create(before_crash, log.records, &replay);
+    if (!status.ok()) return status;
+    status = replay->Run(total / 2);
+    if (!status.ok()) return status;
+    replay.reset();  // the crash: all in-memory state is gone
+    status = Replay::Create(config, log.records, &replay);
+    if (!status.ok()) return status;
+    std::string latest;
+    status = replay->ResumeLatest(checkpoint_dir, &latest);
+  } else {
+    status = Replay::Create(config, log.records, &replay);
   }
-  coordinator.reset();  // the crash: all in-memory state is gone
-
-  std::string latest;
-  int64_t restored_sequence = 0;
-  status = shard::FindLatestCheckpoint(checkpoint_dir, "checkpoint", &latest,
-                                       &restored_sequence);
   if (!status.ok()) return status;
-  JsonValue doc;
-  status = shard::ReadJsonFile(latest, &doc);
-  if (!status.ok()) return status;
-  status = MakeCoordinator(method, num_choices, /*shard_count=*/4,
-                           barrier_interval, seed, &coordinator);
-  if (!status.ok()) return status;
-  status = coordinator->Restore(doc);
-  if (!status.ok()) return status;
-  const int64_t resumed = coordinator->next_sequence();
-  for (int64_t i = 0; i < resumed; ++i) {
-    (void)coordinator->ReplayRouting(log.records[i].task,
-                                     log.records[i].worker,
-                                     log.records[i].label);
-  }
-  status = coordinator->FinishReplay();
-  if (!status.ok()) return status;
-  status = ObserveRange(*coordinator, log, resumed, total, &cell->skipped);
+  status = replay->Run(total);
   if (!status.ok()) return status;
   Coordinator::BatchResult global;
-  status = coordinator->GlobalResync(&global);
+  status = replay->coordinator().GlobalResync(&global);
   if (!status.ok()) return status;
-  Summarize(*coordinator, global, truth, cell);
+  cell->skipped = replay->skipped();
+  Summarize(replay->coordinator(), global, truth, cell);
   return Status::Ok();
 }
 
@@ -413,22 +335,10 @@ int main(int argc, char** argv) {
 
   // Same buggify arming as crowdtruth_shard: flag beats environment.
   std::string buggify_tag = "-";
-  if (!flags.Get("buggify_seed").empty()) {
-    const std::string& seed_text = flags.Get("buggify_seed");
-    char* end = nullptr;
-    const unsigned long long seed =
-        std::strtoull(seed_text.c_str(), &end, 10);
-    if (end == seed_text.c_str() || *end != '\0') {
-      std::cerr << "error: --buggify_seed must be an unsigned integer\n";
-      return 2;
-    }
-    scenario::BuggifyConfig buggify;
-    buggify.seed = seed;
-    buggify.activate_probability = flags.GetDouble("buggify_activate") / 100.0;
-    buggify.fire_probability = flags.GetDouble("buggify_fire") / 100.0;
-    scenario::EnableBuggify(buggify);
-  } else {
-    scenario::BuggifyInitFromEnv();
+  const Status armed = scenario::ArmBuggifyFromFlags(flags);
+  if (!armed.ok()) {
+    std::cerr << "error: " << armed.message() << '\n';
+    return 2;
   }
   if (scenario::BuggifyEnabled()) {
     std::cout << "buggify: "
@@ -498,8 +408,8 @@ int main(int argc, char** argv) {
       std::cerr << "error: " << status.ToString() << '\n';
       return 1;
     }
-    LoadedLog log;
-    status = LoadLog(log_path, &log);
+    shard::LoadedLog log;
+    status = shard::LoadLog(log_path, &log);
     if (!status.ok()) {
       std::cerr << "error: " << status.ToString() << '\n';
       return 1;
@@ -532,21 +442,9 @@ int main(int argc, char** argv) {
           std::cout << "cell " << cell_name << ": cached (fingerprint "
                     << cell.fingerprint << ")\n";
         } else {
-          if (policy == "batch") {
-            status = RunDirect(method, spec.num_choices, /*shard_count=*/1,
-                               /*barrier_interval=*/0, seed, log, truth,
-                               &cell);
-          } else if (policy == "stream") {
-            status = RunDirect(method, spec.num_choices, /*shard_count=*/1,
-                               barrier_interval, seed, log, truth, &cell);
-          } else if (policy == "shard4") {
-            status = RunDirect(method, spec.num_choices, /*shard_count=*/4,
-                               barrier_interval, seed, log, truth, &cell);
-          } else {
-            status = RunCrashRestart(method, spec.num_choices,
-                                     barrier_interval, seed, log, truth,
-                                     out_dir + "/ckpt_" + cell_name, &cell);
-          }
+          status = RunCell(policy, method, spec.num_choices,
+                           barrier_interval, seed, log, truth,
+                           out_dir + "/ckpt_" + cell_name, &cell);
           if (!status.ok()) {
             std::cerr << "error: cell " << cell_name << ": "
                       << status.ToString() << '\n';
@@ -598,19 +496,8 @@ int main(int argc, char** argv) {
   int code = consistent ? 0 : 1;
   if (!metrics_out.empty()) {
     crowdtruth::obs::InstallProcessMetrics(nullptr);
-    Status dump;
-    const bool json =
-        metrics_out.size() >= 5 &&
-        metrics_out.compare(metrics_out.size() - 5, 5, ".json") == 0;
-    if (json) {
-      dump = crowdtruth::util::WriteJsonFile(metrics_out, registry.ToJson());
-    } else {
-      std::ofstream out_stream(metrics_out);
-      if (out_stream) registry.WritePrometheus(out_stream);
-      if (!out_stream.good()) {
-        dump = Status::IoError("cannot write " + metrics_out);
-      }
-    }
+    const Status dump =
+        crowdtruth::obs::WriteMetricsFile(metrics_out, registry);
     if (!dump.ok()) {
       std::cerr << "error: " << dump.ToString() << '\n';
       if (code == 0) code = 1;

@@ -43,7 +43,6 @@
 // (.json suffix = JSON exposition, else Prometheus text) and
 // --trace_out=FILE dumps the recorder one last time.
 #include <csignal>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -61,35 +60,6 @@ crowdtruth::server::StreamingServer* g_server = nullptr;
 void HandleSignal(int /*sig*/) {
   // Async-signal-safe: one atomic store; epoll_wait's EINTR wakes the loop.
   if (g_server != nullptr) g_server->RequestStop();
-}
-
-// Dumps the registry to `path`: JSON when the extension says so, otherwise
-// Prometheus text exposition. Returns 1 on I/O failure.
-int DumpMetrics(crowdtruth::obs::MetricRegistry* registry,
-                const std::string& path) {
-  const bool json = path.size() >= 5 &&
-                    path.compare(path.size() - 5, 5, ".json") == 0;
-  if (json) {
-    const crowdtruth::util::Status status =
-        crowdtruth::util::WriteJsonFile(path, registry->ToJson());
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-  } else {
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "error: cannot open " << path << " for writing\n";
-      return 1;
-    }
-    registry->WritePrometheus(out);
-    if (!out.good()) {
-      std::cerr << "error: failed writing " << path << '\n';
-      return 1;
-    }
-  }
-  std::cout << "wrote metrics to " << path << '\n';
-  return 0;
 }
 
 }  // namespace
@@ -181,7 +151,14 @@ int main(int argc, char** argv) {
   // Clean-shutdown artifacts (SIGTERM/SIGINT/--duration all land here).
   int exit_code = 0;
   if (!flags.Get("metrics_out").empty()) {
-    exit_code = DumpMetrics(&registry, flags.Get("metrics_out"));
+    const crowdtruth::util::Status status = crowdtruth::obs::WriteMetricsFile(
+        flags.Get("metrics_out"), registry);
+    if (!status.ok()) {
+      std::cerr << "error: " << status.ToString() << '\n';
+      exit_code = 1;
+    } else {
+      std::cout << "wrote metrics to " << flags.Get("metrics_out") << '\n';
+    }
   }
   if (!flags.Get("trace_out").empty()) {
     const crowdtruth::util::Status status =

@@ -15,15 +15,13 @@
 //
 //   crowdtruth_shard --mode=worker --log=answers.log --shards=4
 //       --shard_index=1 --workdir=DIR [--barrier_interval=1000]
-//       [--checkpoint_every=0] [--resume] [--crash_after=SEQ]
-//       [--barrier_timeout=60]
+//       [--checkpoint_every=0] [--resume] [--barrier_timeout=60]
 //
 // A worker writes periodic checkpoints (worker<i>_<seq>.json) into the
 // workdir and its final engine snapshot (worker<i>_final.json) at end of
-// slice. --crash_after=S injects a crash: the process exits with code 7
-// once the replay reaches global sequence S; restarting it with --resume
-// picks up the latest checkpoint and catches back up (its peers keep
-// polling at the barrier until it does). Merge mode then verifies every
+// slice. A worker killed mid-run and restarted with --resume picks up its
+// latest checkpoint and catches back up (its peers keep polling at the
+// barrier until it does). Merge mode then verifies every
 // worker's final state against a deterministic replay of its slice and
 // produces the global truth — bit-identical to a single-process replay of
 // the same log:
@@ -32,6 +30,9 @@
 //       --workdir=DIR --output=truth.csv [--workers_output=workers.csv]
 //       [--json_out=report.json]
 //
+// Drive mode runs on the shared shard replay driver (shard/replay.h), the
+// same loop as crowdtruth_stream --shards.
+//
 // Event semantics shared by every mode: a barrier due at global sequence
 // position E runs after all records with sequence < E are consumed, and a
 // checkpoint due at E is taken after a coinciding barrier — so equal
@@ -39,8 +40,6 @@
 #include <cmath>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -58,10 +57,10 @@
 #include "shard/checkpoint.h"
 #include "shard/coordinator.h"
 #include "shard/metrics.h"
+#include "shard/replay.h"
 #include "streaming/engine.h"
 #include "streaming/registry.h"
 #include "streaming/worker_summary.h"
-#include "util/csv.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/stopwatch.h"
@@ -76,65 +75,6 @@ using crowdtruth::util::Flags;
 using crowdtruth::util::JsonValue;
 using crowdtruth::util::Status;
 
-constexpr int kCrashExitCode = 7;
-
-struct LoadedLog {
-  data::AnswerLogHeader header;
-  std::vector<data::AnswerLogRecord> records;  // every row, with .sequence
-};
-
-Status LoadLog(const std::string& path, LoadedLog* out) {
-  data::AnswerLogReader reader;
-  Status status = reader.Open(path);
-  if (!status.ok()) return status;
-  out->header = reader.header();
-  data::AnswerLogRecord record;
-  bool eof = false;
-  while (true) {
-    status = reader.Next(&record, &eof);
-    if (!status.ok()) return status;
-    if (eof) break;
-    out->records.push_back(record);
-  }
-  return Status::Ok();
-}
-
-// flag > log header > max seen label + 1 (and at least 2) — the same
-// resolution crowdtruth_stream uses, so the two tools agree on the label
-// space of a given log.
-int ResolveNumChoices(const Flags& flags, const LoadedLog& log) {
-  int num_choices = flags.GetInt("num_choices") > 0
-                        ? flags.GetInt("num_choices")
-                        : log.header.num_choices;
-  if (num_choices <= 0) {
-    int max_label = 1;
-    for (const data::AnswerLogRecord& record : log.records) {
-      if (record.label > max_label) max_label = record.label;
-    }
-    num_choices = max_label + 1;
-  }
-  return num_choices < 2 ? 2 : num_choices;
-}
-
-streaming::StreamingOptions MakeStreamingOptions(const Flags& flags) {
-  streaming::StreamingOptions options;
-  options.local_sweeps = flags.GetInt("local_sweeps");
-  options.max_dirty_tasks = flags.GetInt("max_dirty_tasks");
-  options.batch.seed = flags.GetInt("seed");
-  options.batch.num_threads = flags.GetInt("threads");
-  return options;
-}
-
-Status WriteCsvPairs(
-    const std::string& path, const std::string& key_column,
-    const std::string& value_column,
-    const std::vector<std::pair<std::string, std::string>>& pairs) {
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({key_column, value_column});
-  for (const auto& [key, value] : pairs) rows.push_back({key, value});
-  return crowdtruth::util::WriteCsvFile(path, rows);
-}
-
 int FailStatus(const Status& status) {
   std::cerr << "error: " << status.ToString() << '\n';
   return status.code() == crowdtruth::util::StatusCode::kInvalidArgument
@@ -146,15 +86,14 @@ int FailStatus(const Status& status) {
 // merge mode. The estimate rows come straight from the coordinator's
 // global solve, so they are byte-identical to crowdtruth_stream's output
 // over the same log.
-template <typename Coordinator>
+template <typename Method>
 int FinishGlobal(const Flags& flags, const std::string& mode,
-                 Coordinator& coordinator,
-                 const typename Coordinator::BatchResult& global,
+                 const shard::ShardCoordinator<Method>& coordinator,
+                 const typename Method::BatchResult& global,
                  int64_t skipped) {
   constexpr bool kCategorical = std::is_same_v<
-      Coordinator, shard::CategoricalShardCoordinator>;
-  std::vector<std::pair<std::string, std::string>> estimates;
-  estimates.reserve(coordinator.global_num_tasks());
+      Method, streaming::IncrementalCategoricalMethod>;
+  shard::CsvPairs estimates;
   for (int gid = 0; gid < coordinator.global_num_tasks(); ++gid) {
     if constexpr (kCategorical) {
       estimates.emplace_back(coordinator.tasks().Name(gid),
@@ -164,8 +103,7 @@ int FinishGlobal(const Flags& flags, const std::string& mode,
                              std::to_string(global.values[gid]));
     }
   }
-  std::vector<std::pair<std::string, std::string>> workers;
-  workers.reserve(coordinator.global_num_workers());
+  shard::CsvPairs workers;
   for (int gid = 0; gid < coordinator.global_num_workers(); ++gid) {
     workers.emplace_back(coordinator.workers().Name(gid),
                          std::to_string(global.worker_quality[gid]));
@@ -173,13 +111,14 @@ int FinishGlobal(const Flags& flags, const std::string& mode,
 
   Status status;
   if (!flags.Get("output").empty()) {
-    status = WriteCsvPairs(flags.Get("output"), "task", "truth", estimates);
+    status = shard::WriteCsvPairs(flags.Get("output"), "task", "truth",
+                                  estimates);
     if (!status.ok()) return FailStatus(status);
     std::cout << "wrote inferred truth to " << flags.Get("output") << '\n';
   }
   if (!flags.Get("workers_output").empty()) {
-    status = WriteCsvPairs(flags.Get("workers_output"), "worker", "quality",
-                           workers);
+    status = shard::WriteCsvPairs(flags.Get("workers_output"), "worker",
+                                  "quality", workers);
     if (!status.ok()) return FailStatus(status);
     std::cout << "wrote worker qualities to " << flags.Get("workers_output")
               << '\n';
@@ -208,122 +147,81 @@ int FinishGlobal(const Flags& flags, const std::string& mode,
 
 // --- Drive mode: every shard in this process ------------------------------
 
-template <typename Coordinator>
-int RunDrive(const Flags& flags, const LoadedLog& log, int num_choices) {
+template <typename Method>
+int RunDrive(const Flags& flags, const shard::LoadedLog& log,
+             int num_choices) {
   constexpr bool kCategorical = std::is_same_v<
-      Coordinator, shard::CategoricalShardCoordinator>;
-  shard::CoordinatorConfig config;
-  config.shard_count = flags.GetInt("shards");
-  config.method = flags.Get("method").empty()
-                      ? (kCategorical ? "ZC" : "Mean")
-                      : flags.Get("method");
-  config.num_choices = num_choices;
-  config.options = MakeStreamingOptions(flags);
-  config.barrier_interval = flags.GetInt("barrier_interval");
-  std::unique_ptr<Coordinator> coordinator;
-  Status status = Coordinator::Create(config, &coordinator);
+      Method, streaming::IncrementalCategoricalMethod>;
+  // The default repair policy skips malformed records (and re-read
+  // duplicates): a drive run and a worker/merge run over the same log
+  // consume exactly the same answers.
+  shard::ReplayConfig config;
+  config.coordinator.shard_count = flags.GetInt("shards");
+  config.coordinator.method = flags.Get("method").empty()
+                                  ? (kCategorical ? "ZC" : "Mean")
+                                  : flags.Get("method");
+  config.coordinator.num_choices = num_choices;
+  config.coordinator.options = shard::StreamingOptionsFromFlags(flags);
+  config.coordinator.barrier_interval = flags.GetInt("barrier_interval");
+  config.checkpoint_every = flags.GetInt("checkpoint_every");
+  config.checkpoint_dir = flags.Get("checkpoint_dir");
+  std::unique_ptr<shard::ShardReplay<Method>> replay;
+  Status status =
+      shard::ShardReplay<Method>::Create(config, log.records, &replay);
   if (!status.ok()) return FailStatus(status);
-
-  const int checkpoint_every = flags.GetInt("checkpoint_every");
-  const std::string checkpoint_dir = flags.Get("checkpoint_dir");
-  if (checkpoint_every > 0 && checkpoint_dir.empty()) {
+  if (config.checkpoint_every > 0 && config.checkpoint_dir.empty()) {
     std::cerr << "error: --checkpoint_every requires --checkpoint_dir\n";
     return 2;
   }
 
-  const auto payload = [](const data::AnswerLogRecord& record) {
-    if constexpr (kCategorical) {
-      return record.label;
-    } else {
-      return record.value;
-    }
-  };
-
   std::string resume_from = flags.Get("resume_from");
-  if (resume_from.empty() && flags.GetBool("resume")) {
-    if (checkpoint_dir.empty()) {
+  if (!resume_from.empty()) {
+    status = replay->Resume(resume_from);
+  } else if (flags.GetBool("resume")) {
+    if (config.checkpoint_dir.empty()) {
       std::cerr << "error: --resume needs --checkpoint_dir (or use "
                    "--resume_from)\n";
       return 2;
     }
-    int64_t sequence = 0;
-    status = shard::FindLatestCheckpoint(checkpoint_dir, "checkpoint",
-                                         &resume_from, &sequence);
+    status = replay->ResumeLatest(config.checkpoint_dir, &resume_from);
     if (status.code() == crowdtruth::util::StatusCode::kNotFound) {
-      std::cout << "no checkpoint in " << checkpoint_dir
+      std::cout << "no checkpoint in " << config.checkpoint_dir
                 << ", starting from the beginning\n";
       resume_from.clear();
-    } else if (!status.ok()) {
-      return FailStatus(status);
+      status = Status::Ok();
     }
   }
-  int64_t start = 0;
+  if (!status.ok()) {
+    std::cerr << "error: " << status.ToString() << '\n';
+    return 1;
+  }
+  shard::ShardCoordinator<Method>& coordinator = replay->coordinator();
   if (!resume_from.empty()) {
-    JsonValue doc;
-    status = shard::ReadJsonFile(resume_from, &doc);
-    if (!status.ok()) return FailStatus(status);
-    status = coordinator->Restore(doc);
-    if (!status.ok()) {
-      std::cerr << "error: " << resume_from << ": " << status.ToString()
-                << '\n';
-      return 1;
-    }
-    start = coordinator->next_sequence();
-    if (start > static_cast<int64_t>(log.records.size())) {
-      std::cerr << "error: checkpoint consumed " << start
-                << " records but the log holds only " << log.records.size()
-                << '\n';
-      return 1;
-    }
-    for (int64_t i = 0; i < start; ++i) {
-      (void)coordinator->ReplayRouting(log.records[i].task,
-                                       log.records[i].worker,
-                                       payload(log.records[i]));
-    }
-    status = coordinator->FinishReplay();
-    if (!status.ok()) return FailStatus(status);
-    std::cout << "restored " << resume_from << ": " << start
+    std::cout << "restored " << resume_from << ": "
+              << coordinator.next_sequence()
               << " answers already consumed\n";
   }
 
-  int64_t skipped = 0;
-  for (int64_t i = start; i < static_cast<int64_t>(log.records.size());
-       ++i) {
-    // Malformed records (and re-read duplicates) are skipped — this tool
-    // always repairs, so a drive run and a worker/merge run over the same
-    // log consume exactly the same answers.
-    status = coordinator->Observe(log.records[i].task, log.records[i].worker,
-                                  payload(log.records[i]));
-    if (!status.ok()) ++skipped;
-    if (checkpoint_every > 0 &&
-        coordinator->next_sequence() % checkpoint_every == 0) {
-      crowdtruth::util::Stopwatch watch;
-      const std::string path =
-          checkpoint_dir + "/" +
-          shard::CheckpointFileName("checkpoint",
-                                    coordinator->next_sequence());
-      status = shard::WriteJsonFileAtomic(path, coordinator->MakeCheckpoint());
-      if (!status.ok()) return FailStatus(status);
-      coordinator->NoteCheckpoint(watch.ElapsedSeconds());
-    }
-  }
-
-  typename Coordinator::BatchResult global;
-  status = coordinator->GlobalResync(&global);
+  status = replay->Run(static_cast<int64_t>(log.records.size()));
+  if (!status.ok()) return FailStatus(status);
+  typename Method::BatchResult global;
+  status = coordinator.GlobalResync(&global);
   if (!status.ok()) return FailStatus(status);
 
-  std::cout << "drive: " << coordinator->answers_accepted() << " answers ("
-            << skipped << " skipped), " << coordinator->global_num_tasks()
-            << " tasks, " << coordinator->global_num_workers()
-            << " workers across " << coordinator->shard_count()
-            << " shards, " << coordinator->barriers_run() << " barriers\n";
-  for (int s = 0; s < coordinator->shard_count(); ++s) {
+  std::cout << "drive: " << coordinator.answers_accepted() << " answers ("
+            << replay->skipped() << " skipped), "
+            << coordinator.global_num_tasks() << " tasks, "
+            << coordinator.global_num_workers() << " workers across "
+            << coordinator.shard_count() << " shards, "
+            << coordinator.barriers_run() << " barriers\n";
+  for (int s = 0; s < coordinator.shard_count(); ++s) {
     std::cout << "  shard " << s << ": "
-              << coordinator->engine(s).method().num_tasks() << " tasks, "
-              << coordinator->engine(s).method().num_workers()
+              << coordinator.engine(s).method().num_tasks() << " tasks, "
+              << coordinator.engine(s).method().num_workers()
               << " workers\n";
   }
-  return FinishGlobal(flags, "drive", *coordinator, global, skipped);
+  return FinishGlobal(flags, "drive", coordinator, global,
+                      replay->skipped());
 }
 
 // --- Worker mode: one shard of a multi-process deployment -----------------
@@ -361,10 +259,10 @@ int RunWorker(const Flags& flags, int num_choices) {
   std::unique_ptr<Method> method;
   if constexpr (kCategorical) {
     method = streaming::MakeIncrementalCategorical(
-        method_name, num_choices, MakeStreamingOptions(flags));
+        method_name, num_choices, shard::StreamingOptionsFromFlags(flags));
   } else {
-    method = streaming::MakeIncrementalNumeric(method_name,
-                                               MakeStreamingOptions(flags));
+    method = streaming::MakeIncrementalNumeric(
+        method_name, shard::StreamingOptionsFromFlags(flags));
   }
   if (method == nullptr) {
     std::cerr << "error: no streaming implementation of \"" << method_name
@@ -383,7 +281,6 @@ int RunWorker(const Flags& flags, int num_choices) {
 
   const int64_t barrier_interval = flags.GetInt("barrier_interval");
   const int64_t checkpoint_every = flags.GetInt("checkpoint_every");
-  const int64_t crash_after = flags.GetInt("crash_after");
   const double barrier_timeout = flags.GetDouble("barrier_timeout");
   const std::string worker_prefix = "worker" + std::to_string(index);
 
@@ -554,16 +451,8 @@ int RunWorker(const Flags& flags, int num_choices) {
     status = reader.Next(&record, &eof);
     if (!status.ok()) return FailStatus(status);
     if (eof) break;
-    const int64_t cap = crash_after > 0 && crash_after < record.sequence
-                            ? crash_after
-                            : record.sequence;
-    status = fire_events_through(cap);
+    status = fire_events_through(record.sequence);
     if (!status.ok()) return FailStatus(status);
-    if (crash_after > 0 && record.sequence >= crash_after) {
-      std::cout << "worker " << index << ": injected crash at sequence "
-                << record.sequence << '\n';
-      return kCrashExitCode;
-    }
     bool ok_record;
     if constexpr (kCategorical) {
       ok_record = record.label >= 0 && record.label < num_choices;
@@ -590,14 +479,8 @@ int RunWorker(const Flags& flags, int num_choices) {
   }
 
   const int64_t total = reader.next_sequence();
-  const int64_t cap =
-      crash_after > 0 && crash_after < total ? crash_after : total;
-  status = fire_events_through(cap);
+  status = fire_events_through(total);
   if (!status.ok()) return FailStatus(status);
-  if (crash_after > 0 && crash_after <= total) {
-    std::cout << "worker " << index << ": injected crash at end of slice\n";
-    return kCrashExitCode;
-  }
 
   if (engine.stats().answers > 0) engine.Resync();
   shard::CheckpointMeta meta;
@@ -623,13 +506,12 @@ int RunWorker(const Flags& flags, int num_choices) {
 
 // --- Merge mode: verify the workers, solve the global dataset -------------
 
-template <typename Coordinator>
-int RunMerge(const Flags& flags, const LoadedLog& log, int num_choices) {
+template <typename Method>
+int RunMerge(const Flags& flags, const shard::LoadedLog& log,
+             int num_choices) {
+  using Coordinator = shard::ShardCoordinator<Method>;
   constexpr bool kCategorical = std::is_same_v<
-      Coordinator, shard::CategoricalShardCoordinator>;
-  using Method = typename std::conditional_t<
-      kCategorical, streaming::IncrementalCategoricalMethod,
-      streaming::IncrementalNumericMethod>;
+      Method, streaming::IncrementalCategoricalMethod>;
   const int shards = flags.GetInt("shards");
   const std::string workdir = flags.Get("workdir");
   if (workdir.empty()) {
@@ -642,7 +524,7 @@ int RunMerge(const Flags& flags, const LoadedLog& log, int num_choices) {
                       ? (kCategorical ? "ZC" : "Mean")
                       : flags.Get("method");
   config.num_choices = num_choices;
-  config.options = MakeStreamingOptions(flags);
+  config.options = shard::StreamingOptionsFromFlags(flags);
   std::unique_ptr<Coordinator> coordinator;
   Status status = Coordinator::Create(config, &coordinator);
   if (!status.ok()) return FailStatus(status);
@@ -773,7 +655,6 @@ int main(int argc, char** argv) {
                      {"resume", "false"},
                      {"resume_from", ""},
                      {"workdir", ""},
-                     {"crash_after", "0"},
                      {"barrier_timeout", "60"},
                      {"local_sweeps", "2"},
                      {"max_dirty_tasks", "32"},
@@ -802,27 +683,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Fault injection: an explicit --buggify_seed wins over the environment
-  // (CROWDTRUTH_BUGGIFY_SEED et al., see scenario/buggify.h). In a build
-  // without -DCROWDTRUTH_BUGGIFY=ON the schedule is still armed — the
-  // sites just compile to `false` — so runs report "compiled out" and the
-  // fault log stays empty.
-  if (!flags.Get("buggify_seed").empty()) {
-    const std::string& seed_text = flags.Get("buggify_seed");
-    char* end = nullptr;
-    const unsigned long long seed =
-        std::strtoull(seed_text.c_str(), &end, 10);
-    if (end == seed_text.c_str() || *end != '\0') {
-      std::cerr << "error: --buggify_seed must be an unsigned integer\n";
-      return 2;
-    }
-    scenario::BuggifyConfig buggify;
-    buggify.seed = seed;
-    buggify.activate_probability = flags.GetDouble("buggify_activate") / 100.0;
-    buggify.fire_probability = flags.GetDouble("buggify_fire") / 100.0;
-    scenario::EnableBuggify(buggify);
-  } else {
-    scenario::BuggifyInitFromEnv();
+  const Status armed = scenario::ArmBuggifyFromFlags(flags);
+  if (!armed.ok()) {
+    std::cerr << "error: " << armed.message() << '\n';
+    return 2;
   }
   if (scenario::BuggifyEnabled()) {
     std::cout << "buggify: "
@@ -865,39 +729,30 @@ int main(int argc, char** argv) {
                      flags, num_choices)
                : RunWorker<streaming::IncrementalNumericMethod>(flags, 0);
   } else {
-    LoadedLog log;
-    const Status status = LoadLog(flags.Get("log"), &log);
+    using Categorical = streaming::IncrementalCategoricalMethod;
+    using Numeric = streaming::IncrementalNumericMethod;
+    shard::LoadedLog log;
+    const Status status = shard::LoadLog(flags.Get("log"), &log);
     if (!status.ok()) return FailStatus(status);
     const bool categorical =
         log.header.type == data::AnswerLogType::kCategorical;
     const int num_choices =
-        categorical ? ResolveNumChoices(flags, log) : 0;
+        categorical
+            ? shard::ResolveNumChoices(flags.GetInt("num_choices"), log)
+            : 0;
     if (mode == "drive") {
-      code = categorical
-                 ? RunDrive<shard::CategoricalShardCoordinator>(flags, log,
-                                                                num_choices)
-                 : RunDrive<shard::NumericShardCoordinator>(flags, log, 0);
+      code = categorical ? RunDrive<Categorical>(flags, log, num_choices)
+                         : RunDrive<Numeric>(flags, log, 0);
     } else {
-      code = categorical
-                 ? RunMerge<shard::CategoricalShardCoordinator>(flags, log,
-                                                                num_choices)
-                 : RunMerge<shard::NumericShardCoordinator>(flags, log, 0);
+      code = categorical ? RunMerge<Categorical>(flags, log, num_choices)
+                         : RunMerge<Numeric>(flags, log, 0);
     }
   }
 
   if (!metrics_out.empty()) {
     crowdtruth::obs::InstallProcessMetrics(nullptr);
-    Status dump;
-    const bool json =
-        metrics_out.size() >= 5 &&
-        metrics_out.compare(metrics_out.size() - 5, 5, ".json") == 0;
-    if (json) {
-      dump = crowdtruth::util::WriteJsonFile(metrics_out, registry.ToJson());
-    } else {
-      std::ofstream out(metrics_out);
-      if (out) registry.WritePrometheus(out);
-      if (!out.good()) dump = Status::IoError("cannot write " + metrics_out);
-    }
+    const Status dump =
+        crowdtruth::obs::WriteMetricsFile(metrics_out, registry);
     if (!dump.ok()) {
       std::cerr << "error: " << dump.ToString() << '\n';
       if (code == 0) code = 1;
@@ -916,8 +771,7 @@ int main(int argc, char** argv) {
     }
   }
   // Written even when buggify is off or compiled out (an empty log plus
-  // "total 0"), so harnesses can diff fault logs unconditionally; and even
-  // on an injected-crash exit, so each incarnation's schedule is auditable.
+  // "total 0"), so harnesses can diff fault logs unconditionally.
   if (!flags.Get("buggify_log").empty()) {
     const Status log_status =
         scenario::WriteBuggifyLog(flags.Get("buggify_log"));

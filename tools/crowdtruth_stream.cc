@@ -34,17 +34,17 @@
 // the repair policies skip the record and keep streaming.
 //
 // --metrics_port=N (>= 0; 0 picks an ephemeral port, printed on startup)
-// installs the process-wide metric registry and serves live Prometheus
-// exposition on 127.0.0.1:N during the replay: GET /metrics (text),
-// /metrics.json, /healthz. The server is poll-based and single-threaded —
-// the replay loop pumps it between answers, so scraping never introduces
+// installs the process-wide metric registry and serves it on 127.0.0.1:N
+// during the replay from a tenant-less StreamingServer (src/server/):
+// GET /metrics (text), /metrics.json, /healthz. The replay loop pumps the
+// server's event loop between answers, so scraping never introduces
 // concurrency into the engine. --metrics_linger=SECONDS keeps serving
 // after the stream ends (so a scraper can collect the final state of a
 // fast replay); --metrics_out dumps the registry to a file on exit
 // (Prometheus text, or JSON when the path ends in ".json").
 //
 // --shards=N (> 1), --checkpoint_every=N or --resume_from=FILE switch the
-// replay onto the in-process shard coordinator (src/shard/): tasks are
+// replay onto the shared shard replay driver (shard/replay.h): tasks are
 // hash-partitioned across N engines, a cross-shard worker-summary barrier
 // runs every --resync_interval answers, and the final resync is one global
 // batch solve — so the inferred truth is bit-identical to the single-
@@ -82,13 +82,12 @@
 #include "data/answer_log.h"
 #include "scenario/buggify.h"
 #include "obs/flight_recorder.h"
-#include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/resource_sampler.h"
 #include "obs/trace_export.h"
 #include "server/server.h"
-#include "shard/checkpoint.h"
 #include "shard/coordinator.h"
+#include "shard/replay.h"
 #include "simulation/online_assignment.h"
 #include "simulation/profiles.h"
 #include "streaming/engine.h"
@@ -102,6 +101,7 @@
 namespace {
 
 namespace data = crowdtruth::data;
+namespace shard = crowdtruth::shard;
 namespace sim = crowdtruth::sim;
 namespace streaming = crowdtruth::streaming;
 using crowdtruth::util::Flags;
@@ -109,9 +109,9 @@ using crowdtruth::util::JsonValue;
 using crowdtruth::util::Status;
 using crowdtruth::util::TablePrinter;
 
-// The live exporter, when --metrics_port enabled one. Pumped by the replay
-// loop and the post-stream linger loop; null otherwise.
-crowdtruth::obs::MetricsHttpServer* g_metrics_server = nullptr;
+// The tenant-less metrics server, when --metrics_port enabled one. Pumped
+// by the replay loop and the post-stream linger loop; null otherwise.
+crowdtruth::server::StreamingServer* g_metrics_server = nullptr;
 
 // The epoll server, when --serve_port promoted the replay into a live
 // tenant; set only while Run() is blocking, for the signal handler.
@@ -121,19 +121,11 @@ void HandleServeSignal(int /*sig*/) {
   if (g_serve_server != nullptr) g_serve_server->RequestStop();
 }
 
-// One stream element, keyed by string ids; `label` is used for categorical
-// streams, `value` for numeric ones.
-struct StreamRecord {
-  std::string task;
-  std::string worker;
-  data::LabelId label = 0;
-  double value = 0.0;
-};
-
 struct StreamInput {
   data::AnswerLogType type = data::AnswerLogType::kCategorical;
   int num_choices = 0;
-  std::vector<StreamRecord> records;
+  // `label` is used for categorical streams, `value` for numeric ones.
+  std::vector<data::AnswerLogRecord> records;
   std::unordered_map<std::string, data::LabelId> truth_labels;
   std::unordered_map<std::string, double> truth_values;
 };
@@ -180,32 +172,15 @@ Status LoadTruthCsv(const std::string& path, StreamInput* input) {
 }
 
 Status LoadLogInput(const Flags& flags, StreamInput* input) {
-  data::AnswerLogReader reader;
-  Status status = reader.Open(flags.Get("log"));
+  shard::LoadedLog log;
+  Status status = shard::LoadLog(flags.Get("log"), &log);
   if (!status.ok()) return status;
-  input->type = reader.header().type;
-  int max_label = 1;
-  data::AnswerLogRecord record;
-  bool eof = false;
-  while (true) {
-    status = reader.Next(&record, &eof);
-    if (!status.ok()) return status;
-    if (eof) break;
-    StreamRecord parsed;
-    parsed.task = record.task;
-    parsed.worker = record.worker;
-    parsed.label = record.label;
-    parsed.value = record.value;
-    if (record.label > max_label) max_label = record.label;
-    input->records.push_back(std::move(parsed));
-  }
+  input->type = log.header.type;
   if (input->type == data::AnswerLogType::kCategorical) {
-    input->num_choices = flags.GetInt("num_choices") > 0
-                             ? flags.GetInt("num_choices")
-                             : reader.header().num_choices;
-    if (input->num_choices <= 0) input->num_choices = max_label + 1;
-    if (input->num_choices < 2) input->num_choices = 2;
+    input->num_choices =
+        shard::ResolveNumChoices(flags.GetInt("num_choices"), log);
   }
+  input->records = std::move(log.records);
   if (!flags.Get("truth").empty()) {
     return LoadTruthCsv(flags.Get("truth"), input);
   }
@@ -251,7 +226,7 @@ Status SimulateInput(const Flags& flags, StreamInput* input) {
   input->num_choices = spec.num_choices;
   input->records.reserve(events.size());
   for (const sim::OnlineAnswerEvent& event : events) {
-    StreamRecord record;
+    data::AnswerLogRecord record;
     record.task = std::to_string(event.task);
     record.worker = std::to_string(event.worker);
     record.label = event.label;
@@ -271,7 +246,7 @@ Status SimulateInput(const Flags& flags, StreamInput* input) {
     status = data::AnswerLogWriter::Create(flags.Get("log_out"), header,
                                            &writer);
     if (!status.ok()) return status;
-    for (const StreamRecord& record : input->records) {
+    for (const data::AnswerLogRecord& record : input->records) {
       status = writer.Append(record.task, record.worker, record.label);
       if (!status.ok()) return status;
     }
@@ -293,180 +268,90 @@ Status SimulateInput(const Flags& flags, StreamInput* input) {
   return Status::Ok();
 }
 
-// Accuracy of the current estimates over tasks with known truth.
-template <typename Engine>
-double CategoricalAccuracy(const Engine& engine, const StreamInput& input,
-                           int* labeled) {
-  int correct = 0;
-  *labeled = 0;
-  const auto& method = engine.method();
-  for (int t = 0; t < method.num_tasks(); ++t) {
-    const auto it = input.truth_labels.find(engine.tasks().Name(t));
-    if (it == input.truth_labels.end()) continue;
-    ++*labeled;
-    if (method.Estimate(t) == it->second) ++correct;
-  }
-  return *labeled == 0 ? 0.0 : static_cast<double>(correct) / *labeled;
-}
+// Quality of a set of estimates against the known truth: accuracy for
+// categorical streams, MAE/RMSE for numeric ones.
+struct Quality {
+  int labeled = 0;
+  double accuracy = 0.0;
+  double mae = 0.0;
+  double rmse = 0.0;
+};
 
-template <typename Engine>
-void NumericErrors(const Engine& engine, const StreamInput& input,
-                   int* labeled, double* mae, double* rmse) {
+// Scores estimate(t) for the tasks named name(t), t in [0, num_tasks).
+template <typename NameFn, typename EstimateFn>
+Quality Score(const StreamInput& input, int num_tasks, NameFn name,
+              EstimateFn estimate) {
+  Quality quality;
+  int correct = 0;
   double abs_sum = 0.0;
   double sq_sum = 0.0;
-  *labeled = 0;
-  const auto& method = engine.method();
-  for (int t = 0; t < method.num_tasks(); ++t) {
-    const auto it = input.truth_values.find(engine.tasks().Name(t));
-    if (it == input.truth_values.end()) continue;
-    ++*labeled;
-    const double err = method.Estimate(t) - it->second;
-    abs_sum += std::fabs(err);
-    sq_sum += err * err;
-  }
-  *mae = *labeled == 0 ? 0.0 : abs_sum / *labeled;
-  *rmse = *labeled == 0 ? 0.0 : std::sqrt(sq_sum / *labeled);
-}
-
-Status WriteCsvPairs(
-    const std::string& path, const std::string& value_column,
-    const std::vector<std::pair<std::string, std::string>>& pairs,
-    const std::string& key_column = "task") {
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({key_column, value_column});
-  for (const auto& [key, value] : pairs) rows.push_back({key, value});
-  return crowdtruth::util::WriteCsvFile(path, rows);
-}
-
-// Drives the replay for either engine flavour. `payload` extracts the
-// answer payload from a record; `quality_line` formats the rolling report.
-template <typename Engine, typename PayloadFn, typename QualityFn>
-int RunStream(const Flags& flags, const StreamInput& input, Engine& engine,
-              PayloadFn payload, QualityFn quality_line) {
-  crowdtruth::core::StreamTraceSink trace(std::cerr);
-  if (flags.GetBool("trace")) engine.set_trace(&trace);
-
-  if (!flags.Get("snapshot_in").empty()) {
-    std::string text;
-    Status status = ReadFileToString(flags.Get("snapshot_in"), &text);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-    JsonValue snapshot;
-    status = crowdtruth::util::ParseJson(text, &snapshot);
-    if (!status.ok()) {
-      std::cerr << "error: " << flags.Get("snapshot_in") << ": "
-                << status.ToString() << '\n';
-      return 1;
-    }
-    status = engine.Restore(snapshot);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-    std::cout << "restored snapshot: " << engine.stats().answers
-              << " answers already ingested\n";
-  }
-
-  crowdtruth::data::BadRecordPolicy policy;
-  {
-    const Status status = crowdtruth::data::ParseBadRecordPolicy(
-        flags.Get("on-bad-record"), &policy);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 2;
+  for (int t = 0; t < num_tasks; ++t) {
+    if (input.type == data::AnswerLogType::kCategorical) {
+      const auto it = input.truth_labels.find(name(t));
+      if (it == input.truth_labels.end()) continue;
+      ++quality.labeled;
+      if (estimate(t) == it->second) ++correct;
+    } else {
+      const auto it = input.truth_values.find(name(t));
+      if (it == input.truth_values.end()) continue;
+      ++quality.labeled;
+      const double err = estimate(t) - it->second;
+      abs_sum += std::fabs(err);
+      sq_sum += err * err;
     }
   }
-
-  const int report_interval = flags.GetInt("report_interval");
-  int64_t skipped = 0;
-  int64_t replayed = 0;
-  for (const StreamRecord& record : input.records) {
-    const Status status =
-        engine.Observe(record.task, record.worker, payload(record));
-    if (!status.ok()) {
-      // A resumed replay re-reads answers the snapshot already contains.
-      if (status.message().find("duplicate") != std::string::npos) {
-        ++skipped;
-        continue;
-      }
-      // Repair policies skip any other bad record (out-of-range label,
-      // non-finite value) and keep streaming; reject fails the replay.
-      if (policy != crowdtruth::data::BadRecordPolicy::kReject) {
-        ++skipped;
-        continue;
-      }
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-    ++replayed;
-    if (g_metrics_server != nullptr) g_metrics_server->Poll(0);
-    if (report_interval > 0 && replayed % report_interval == 0) {
-      std::cout << "[stream] answers=" << engine.stats().answers
-                << quality_line(engine) << " p50_observe="
-                << TablePrinter::Fixed(
-                       engine.stats().observe_latency.Percentile(50.0) * 1e6,
-                       1)
-                << "us resyncs=" << engine.stats().resyncs << '\n';
-    }
+  if (quality.labeled > 0) {
+    quality.accuracy = static_cast<double>(correct) / quality.labeled;
+    quality.mae = abs_sum / quality.labeled;
+    quality.rmse = std::sqrt(sq_sum / quality.labeled);
   }
-  if (flags.GetBool("final_resync") && engine.stats().answers > 0) {
-    engine.Resync();
-  }
-
-  std::cout << "stream: " << engine.stats().answers << " answers ("
-            << replayed << " replayed, " << skipped << " skipped), "
-            << engine.method().num_tasks() << " tasks, "
-            << engine.method().num_workers() << " workers\n"
-            << "engine: " << engine.stats().resyncs << " resyncs, "
-            << TablePrinter::Fixed(engine.stats().resync_seconds, 3)
-            << "s resync time, mean observe "
-            << TablePrinter::Fixed(
-                   engine.stats().observe_latency.mean() * 1e6, 1)
-            << "us\n"
-            << "final:" << quality_line(engine) << '\n';
-
-  if (!flags.Get("snapshot_out").empty()) {
-    const Status status = crowdtruth::util::WriteJsonFile(
-        flags.Get("snapshot_out"), engine.Snapshot());
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-    std::cout << "wrote snapshot to " << flags.Get("snapshot_out") << '\n';
-  }
-  return 0;
+  return quality;
 }
 
 template <typename Engine>
-JsonValue BaseReport(const Flags& flags, const StreamInput& input,
-                     const Engine& engine, const std::string& mode) {
-  JsonValue report = JsonValue::Object();
-  report.Set("tool", "crowdtruth_stream");
-  report.Set("mode", mode);
-  report.Set("type", input.type == data::AnswerLogType::kCategorical
-                         ? "categorical"
-                         : "numeric");
-  report.Set("method", engine.method().name());
-  report.Set("answers", static_cast<int64_t>(engine.stats().answers));
-  report.Set("num_tasks", engine.method().num_tasks());
-  report.Set("num_workers", engine.method().num_workers());
-  report.Set("resync_interval", flags.GetInt("resync_interval"));
-  report.Set("resyncs", engine.stats().resyncs);
-  report.Set("resync_seconds", engine.stats().resync_seconds);
-  report.Set("observe_latency", engine.stats().observe_latency.ToJson());
-  return report;
+Quality ScoreEngine(const StreamInput& input, const Engine& engine) {
+  return Score(
+      input, engine.method().num_tasks(),
+      [&engine](int t) { return engine.tasks().Name(t); },
+      [&engine](int t) { return engine.method().Estimate(t); });
 }
 
-int FinishWithOutputs(const Flags& flags, JsonValue report,
-                      const std::vector<std::pair<std::string, std::string>>&
-                          estimates,
-                      const std::vector<std::pair<std::string, std::string>>&
-                          worker_rows) {
+// " accuracy=97.50% (40 labeled)" or " mae=0.125 rmse=0.250 (40 labeled)".
+std::string QualityLine(const StreamInput& input, const Quality& quality) {
+  const bool categorical = input.type == data::AnswerLogType::kCategorical;
+  if (quality.labeled == 0) return categorical ? " accuracy=n/a" : " mae=n/a";
+  const std::string labeled =
+      " (" + std::to_string(quality.labeled) + " labeled)";
+  if (categorical) {
+    return " accuracy=" + TablePrinter::Percent(quality.accuracy, 2) +
+           labeled;
+  }
+  return " mae=" + TablePrinter::Fixed(quality.mae, 3) +
+         " rmse=" + TablePrinter::Fixed(quality.rmse, 3) + labeled;
+}
+
+// The run report's "final" object.
+JsonValue QualityJson(const StreamInput& input, const Quality& quality) {
+  JsonValue final = JsonValue::Object();
+  final.Set("labeled_tasks", quality.labeled);
+  if (quality.labeled > 0) {
+    if (input.type == data::AnswerLogType::kCategorical) {
+      final.Set("accuracy", quality.accuracy);
+    } else {
+      final.Set("mae", quality.mae);
+      final.Set("rmse", quality.rmse);
+    }
+  }
+  return final;
+}
+
+int FinishWithOutputs(const Flags& flags, const JsonValue& report,
+                      const shard::CsvPairs& estimates,
+                      const shard::CsvPairs& workers) {
   Status status;
   if (!flags.Get("output").empty()) {
-    status = WriteCsvPairs(flags.Get("output"), "truth", estimates);
+    status =
+        shard::WriteCsvPairs(flags.Get("output"), "task", "truth", estimates);
     if (!status.ok()) {
       std::cerr << "error: " << status.ToString() << '\n';
       return 1;
@@ -474,8 +359,8 @@ int FinishWithOutputs(const Flags& flags, JsonValue report,
     std::cout << "wrote inferred truth to " << flags.Get("output") << '\n';
   }
   if (!flags.Get("workers_output").empty()) {
-    status = WriteCsvPairs(flags.Get("workers_output"), "quality",
-                           worker_rows, "worker");
+    status = shard::WriteCsvPairs(flags.Get("workers_output"), "worker",
+                                  "quality", workers);
     if (!status.ok()) {
       std::cerr << "error: " << status.ToString() << '\n';
       return 1;
@@ -492,17 +377,6 @@ int FinishWithOutputs(const Flags& flags, JsonValue report,
     std::cout << "wrote run summary to " << flags.Get("json_out") << '\n';
   }
   return 0;
-}
-
-streaming::StreamingOptions MakeStreamingOptions(const Flags& flags) {
-  streaming::StreamingOptions options;
-  options.local_sweeps = flags.GetInt("local_sweeps");
-  options.max_dirty_tasks = flags.GetInt("max_dirty_tasks");
-  options.batch.seed = flags.GetInt("seed");
-  // Deterministic intra-method parallelism for the full Resync solves;
-  // results are bit-identical at any thread count.
-  options.batch.num_threads = flags.GetInt("threads");
-  return options;
 }
 
 // --serve_port: promote the just-replayed engine into tenant "default" of
@@ -559,155 +433,194 @@ int ServeAdopted(
   return 0;
 }
 
-int RunCategorical(const Flags& flags, const StreamInput& input,
-                   const std::string& mode) {
-  std::string method_name = flags.Get("method");
-  if (method_name.empty()) method_name = "ZC";
-  auto method = streaming::MakeIncrementalCategorical(
-      method_name, input.num_choices, MakeStreamingOptions(flags));
-  if (method == nullptr) {
-    std::string names;
-    for (const std::string& name :
-         streaming::IncrementalCategoricalNames()) {
-      names += (names.empty() ? "" : ", ") + name;
-    }
-    std::cerr << "error: no streaming implementation of \"" << method_name
-              << "\" (categorical streaming methods: " << names << ")\n";
-    return 2;
-  }
-  streaming::EngineConfig config;
-  config.resync_interval = flags.GetInt("resync_interval");
-  auto engine_ptr = std::make_unique<streaming::CategoricalStreamEngine>(
-      std::move(method), config);
-  streaming::CategoricalStreamEngine& engine = *engine_ptr;
-
-  const auto quality_line = [&input](
-                                const streaming::CategoricalStreamEngine&
-                                    e) {
-    int labeled = 0;
-    const double accuracy = CategoricalAccuracy(e, input, &labeled);
-    if (labeled == 0) return std::string(" accuracy=n/a");
-    return " accuracy=" + TablePrinter::Percent(accuracy, 2) + " (" +
-           std::to_string(labeled) + " labeled)";
-  };
-  const int exit_code = RunStream(
-      flags, input, engine,
-      [](const StreamRecord& record) { return record.label; },
-      quality_line);
-  if (exit_code != 0) return exit_code;
-
-  JsonValue report = BaseReport(flags, input, engine, mode);
-  report.Set("num_choices", input.num_choices);
-  int labeled = 0;
-  const double accuracy = CategoricalAccuracy(engine, input, &labeled);
-  JsonValue final = JsonValue::Object();
-  final.Set("labeled_tasks", labeled);
-  if (labeled > 0) final.Set("accuracy", accuracy);
-  report.Set("final", std::move(final));
-
-  std::vector<std::pair<std::string, std::string>> estimates;
-  const auto& method_ref = engine.method();
-  estimates.reserve(method_ref.num_tasks());
-  for (int t = 0; t < method_ref.num_tasks(); ++t) {
-    estimates.emplace_back(engine.tasks().Name(t),
-                           std::to_string(method_ref.Estimate(t)));
-  }
-  std::vector<std::pair<std::string, std::string>> workers;
-  workers.reserve(method_ref.num_workers());
-  for (int w = 0; w < method_ref.num_workers(); ++w) {
-    workers.emplace_back(engine.workers().Name(w),
-                         std::to_string(method_ref.WorkerQuality(w)));
-  }
-  const int outputs_code =
-      FinishWithOutputs(flags, std::move(report), estimates, workers);
-  if (outputs_code != 0) return outputs_code;
-  if (flags.GetInt("serve_port") >= 0) {
-    return ServeAdopted(flags, std::move(engine_ptr));
-  }
-  return 0;
-}
-
-int RunNumeric(const Flags& flags, const StreamInput& input,
-               const std::string& mode) {
-  if (flags.GetInt("serve_port") >= 0) {
+// The single-engine replay, for either engine flavour.
+template <typename Method>
+int RunSingle(const Flags& flags, const StreamInput& input,
+              const std::string& mode) {
+  constexpr bool kCategorical =
+      std::is_same_v<Method, streaming::IncrementalCategoricalMethod>;
+  if (!kCategorical && flags.GetInt("serve_port") >= 0) {
     std::cerr << "error: --serve_port supports categorical streams only\n";
     return 2;
   }
   std::string method_name = flags.Get("method");
-  if (method_name.empty()) method_name = "Mean";
-  auto method = streaming::MakeIncrementalNumeric(method_name,
-                                                  MakeStreamingOptions(flags));
+  if (method_name.empty()) method_name = kCategorical ? "ZC" : "Mean";
+  const streaming::StreamingOptions options =
+      shard::StreamingOptionsFromFlags(flags);
+  std::unique_ptr<Method> method;
+  std::vector<std::string> names;
+  if constexpr (kCategorical) {
+    method = streaming::MakeIncrementalCategorical(method_name,
+                                                   input.num_choices, options);
+    names = streaming::IncrementalCategoricalNames();
+  } else {
+    method = streaming::MakeIncrementalNumeric(method_name, options);
+    names = streaming::IncrementalNumericNames();
+  }
   if (method == nullptr) {
-    std::string names;
-    for (const std::string& name : streaming::IncrementalNumericNames()) {
-      names += (names.empty() ? "" : ", ") + name;
+    std::string list;
+    for (const std::string& name : names) {
+      list += (list.empty() ? "" : ", ") + name;
     }
     std::cerr << "error: no streaming implementation of \"" << method_name
-              << "\" (numeric streaming methods: " << names << ")\n";
+              << "\" (" << (kCategorical ? "categorical" : "numeric")
+              << " streaming methods: " << list << ")\n";
     return 2;
   }
   streaming::EngineConfig config;
   config.resync_interval = flags.GetInt("resync_interval");
-  streaming::NumericStreamEngine engine(std::move(method), config);
+  auto engine = std::make_unique<streaming::StreamEngine<Method>>(
+      std::move(method), config);
+  crowdtruth::core::StreamTraceSink trace(std::cerr);
+  if (flags.GetBool("trace")) engine->set_trace(&trace);
 
-  const auto quality_line =
-      [&input](const streaming::NumericStreamEngine& e) {
-        int labeled = 0;
-        double mae = 0.0;
-        double rmse = 0.0;
-        NumericErrors(e, input, &labeled, &mae, &rmse);
-        if (labeled == 0) return std::string(" mae=n/a");
-        return " mae=" + TablePrinter::Fixed(mae, 3) +
-               " rmse=" + TablePrinter::Fixed(rmse, 3) + " (" +
-               std::to_string(labeled) + " labeled)";
-      };
-  const int exit_code = RunStream(
-      flags, input, engine,
-      [](const StreamRecord& record) { return record.value; },
-      quality_line);
-  if (exit_code != 0) return exit_code;
-
-  JsonValue report = BaseReport(flags, input, engine, mode);
-  int labeled = 0;
-  double mae = 0.0;
-  double rmse = 0.0;
-  NumericErrors(engine, input, &labeled, &mae, &rmse);
-  JsonValue final = JsonValue::Object();
-  final.Set("labeled_tasks", labeled);
-  if (labeled > 0) {
-    final.Set("mae", mae);
-    final.Set("rmse", rmse);
+  if (!flags.Get("snapshot_in").empty()) {
+    std::string text;
+    Status status = ReadFileToString(flags.Get("snapshot_in"), &text);
+    if (!status.ok()) {
+      std::cerr << "error: " << status.ToString() << '\n';
+      return 1;
+    }
+    JsonValue snapshot;
+    status = crowdtruth::util::ParseJson(text, &snapshot);
+    if (!status.ok()) {
+      std::cerr << "error: " << flags.Get("snapshot_in") << ": "
+                << status.ToString() << '\n';
+      return 1;
+    }
+    status = engine->Restore(snapshot);
+    if (!status.ok()) {
+      std::cerr << "error: " << status.ToString() << '\n';
+      return 1;
+    }
+    std::cout << "restored snapshot: " << engine->stats().answers
+              << " answers already ingested\n";
   }
-  report.Set("final", std::move(final));
 
-  std::vector<std::pair<std::string, std::string>> estimates;
-  const auto& method_ref = engine.method();
-  estimates.reserve(method_ref.num_tasks());
+  crowdtruth::data::BadRecordPolicy policy;
+  {
+    const Status status = crowdtruth::data::ParseBadRecordPolicy(
+        flags.Get("on-bad-record"), &policy);
+    if (!status.ok()) {
+      std::cerr << "error: " << status.ToString() << '\n';
+      return 2;
+    }
+  }
+
+  const int report_interval = flags.GetInt("report_interval");
+  int64_t skipped = 0;
+  int64_t replayed = 0;
+  for (const data::AnswerLogRecord& record : input.records) {
+    const Status status = engine->Observe(record.task, record.worker,
+                                          shard::PayloadOf<Method>(record));
+    if (!status.ok()) {
+      // A resumed replay re-reads answers the snapshot already contains.
+      if (status.message().find("duplicate") != std::string::npos) {
+        ++skipped;
+        continue;
+      }
+      // Repair policies skip any other bad record (out-of-range label,
+      // non-finite value) and keep streaming; reject fails the replay.
+      if (policy != crowdtruth::data::BadRecordPolicy::kReject) {
+        ++skipped;
+        continue;
+      }
+      std::cerr << "error: " << status.ToString() << '\n';
+      return 1;
+    }
+    ++replayed;
+    if (g_metrics_server != nullptr) g_metrics_server->RunOnce(0);
+    if (report_interval > 0 && replayed % report_interval == 0) {
+      std::cout << "[stream] answers=" << engine->stats().answers
+                << QualityLine(input, ScoreEngine(input, *engine))
+                << " p50_observe="
+                << TablePrinter::Fixed(
+                       engine->stats().observe_latency.Quantile(0.5) * 1e6,
+                       1)
+                << "us resyncs=" << engine->stats().resyncs << '\n';
+    }
+  }
+  if (flags.GetBool("final_resync") && engine->stats().answers > 0) {
+    engine->Resync();
+  }
+
+  const streaming::EngineStats& stats = engine->stats();
+  const Quality quality = ScoreEngine(input, *engine);
+  std::cout << "stream: " << stats.answers << " answers (" << replayed
+            << " replayed, " << skipped << " skipped), "
+            << engine->method().num_tasks() << " tasks, "
+            << engine->method().num_workers() << " workers\n"
+            << "engine: " << stats.resyncs << " resyncs, "
+            << TablePrinter::Fixed(stats.resync_seconds, 3)
+            << "s resync time, mean observe "
+            << TablePrinter::Fixed(stats.observe_latency.mean() * 1e6, 1)
+            << "us\n"
+            << "final:" << QualityLine(input, quality) << '\n';
+
+  if (!flags.Get("snapshot_out").empty()) {
+    const Status status = crowdtruth::util::WriteJsonFile(
+        flags.Get("snapshot_out"), engine->Snapshot());
+    if (!status.ok()) {
+      std::cerr << "error: " << status.ToString() << '\n';
+      return 1;
+    }
+    std::cout << "wrote snapshot to " << flags.Get("snapshot_out") << '\n';
+  }
+
+  JsonValue report = JsonValue::Object();
+  report.Set("tool", "crowdtruth_stream");
+  report.Set("mode", mode);
+  report.Set("type", kCategorical ? "categorical" : "numeric");
+  report.Set("method", engine->method().name());
+  report.Set("answers", static_cast<int64_t>(stats.answers));
+  report.Set("num_tasks", engine->method().num_tasks());
+  report.Set("num_workers", engine->method().num_workers());
+  report.Set("resync_interval", flags.GetInt("resync_interval"));
+  report.Set("resyncs", stats.resyncs);
+  report.Set("resync_seconds", stats.resync_seconds);
+  JsonValue observe = JsonValue::Object();
+  observe.Set("count", stats.observe_latency.count());
+  observe.Set("total_seconds", stats.observe_latency.sum());
+  observe.Set("mean_seconds", stats.observe_latency.mean());
+  observe.Set("p50_seconds", stats.observe_latency.Quantile(0.5));
+  observe.Set("p99_seconds", stats.observe_latency.Quantile(0.99));
+  observe.Set("max_seconds", stats.observe_latency.max());
+  report.Set("observe_latency", std::move(observe));
+  if constexpr (kCategorical) report.Set("num_choices", input.num_choices);
+  report.Set("final", QualityJson(input, quality));
+
+  shard::CsvPairs estimates;
+  const Method& method_ref = engine->method();
   for (int t = 0; t < method_ref.num_tasks(); ++t) {
-    estimates.emplace_back(engine.tasks().Name(t),
+    estimates.emplace_back(engine->tasks().Name(t),
                            std::to_string(method_ref.Estimate(t)));
   }
-  std::vector<std::pair<std::string, std::string>> workers;
-  workers.reserve(method_ref.num_workers());
+  shard::CsvPairs workers;
   for (int w = 0; w < method_ref.num_workers(); ++w) {
-    workers.emplace_back(engine.workers().Name(w),
+    workers.emplace_back(engine->workers().Name(w),
                          std::to_string(method_ref.WorkerQuality(w)));
   }
-  return FinishWithOutputs(flags, std::move(report), estimates, workers);
+  const int outputs_code =
+      FinishWithOutputs(flags, report, estimates, workers);
+  if (outputs_code != 0) return outputs_code;
+  if constexpr (kCategorical) {
+    if (flags.GetInt("serve_port") >= 0) {
+      return ServeAdopted(flags, std::move(engine));
+    }
+  }
+  return 0;
 }
 
 // --shards / --checkpoint_every / --resume_from: drive the replay through
-// the in-process shard coordinator instead of a single engine. The final
-// estimates come from the coordinator's global resync, which solves the
-// same arrival-order dataset a single-engine replay's final resync does —
-// the truth CSV is bit-identical for any shard count.
-template <typename Coordinator>
+// the shared shard replay driver (shard/replay.h) instead of a single
+// engine. The final estimates come from the coordinator's global resync,
+// which solves the same arrival-order dataset a single-engine replay's
+// final resync does — the truth CSV is bit-identical for any shard count.
+template <typename Method>
 int RunSharded(const Flags& flags, const StreamInput& input,
                const std::string& mode) {
-  constexpr bool kCategorical = std::is_same_v<
-      Coordinator, crowdtruth::shard::CategoricalShardCoordinator>;
-  namespace shard = crowdtruth::shard;
-
+  constexpr bool kCategorical =
+      std::is_same_v<Method, streaming::IncrementalCategoricalMethod>;
   if (!flags.Get("snapshot_in").empty() ||
       !flags.Get("snapshot_out").empty() ||
       flags.GetInt("serve_port") >= 0 || flags.GetBool("trace")) {
@@ -716,258 +629,132 @@ int RunSharded(const Flags& flags, const StreamInput& input,
                  "--snapshot_out, --serve_port or --trace\n";
     return 2;
   }
-  const int checkpoint_every = flags.GetInt("checkpoint_every");
-  const std::string checkpoint_dir = flags.Get("checkpoint_dir");
-  if (checkpoint_every > 0 && checkpoint_dir.empty()) {
+  shard::ReplayConfig config;
+  config.checkpoint_every = flags.GetInt("checkpoint_every");
+  config.checkpoint_dir = flags.Get("checkpoint_dir");
+  if (config.checkpoint_every > 0 && config.checkpoint_dir.empty()) {
     std::cerr << "error: --checkpoint_every requires --checkpoint_dir\n";
     return 2;
   }
-
   std::string method_name = flags.Get("method");
   if (method_name.empty()) method_name = kCategorical ? "ZC" : "Mean";
-
-  shard::CoordinatorConfig config;
-  config.shard_count = flags.GetInt("shards");
-  config.method = method_name;
-  config.num_choices = input.num_choices;
-  config.options = MakeStreamingOptions(flags);
-  config.barrier_interval = flags.GetInt("resync_interval");
-  std::unique_ptr<Coordinator> coordinator;
-  Status status = Coordinator::Create(config, &coordinator);
+  config.coordinator.shard_count = flags.GetInt("shards");
+  config.coordinator.method = method_name;
+  config.coordinator.num_choices = input.num_choices;
+  config.coordinator.options = shard::StreamingOptionsFromFlags(flags);
+  config.coordinator.barrier_interval = flags.GetInt("resync_interval");
+  Status status = crowdtruth::data::ParseBadRecordPolicy(
+      flags.Get("on-bad-record"), &config.on_bad_record);
+  std::unique_ptr<shard::ShardReplay<Method>> replay;
+  if (status.ok()) {
+    status = shard::ShardReplay<Method>::Create(config, input.records,
+                                                &replay);
+  }
   if (!status.ok()) {
     std::cerr << "error: " << status.ToString() << '\n';
     return 2;
   }
-
-  crowdtruth::data::BadRecordPolicy policy;
-  status = crowdtruth::data::ParseBadRecordPolicy(flags.Get("on-bad-record"),
-                                                  &policy);
-  if (!status.ok()) {
-    std::cerr << "error: " << status.ToString() << '\n';
-    return 2;
-  }
-
-  const auto payload = [](const StreamRecord& record) {
-    if constexpr (kCategorical) {
-      return record.label;
-    } else {
-      return record.value;
-    }
-  };
-
-  int64_t start = 0;
+  shard::ShardCoordinator<Method>& coordinator = replay->coordinator();
   if (!flags.Get("resume_from").empty()) {
-    JsonValue doc;
-    status = shard::ReadJsonFile(flags.Get("resume_from"), &doc);
+    status = replay->Resume(flags.Get("resume_from"));
     if (!status.ok()) {
       std::cerr << "error: " << status.ToString() << '\n';
       return 1;
     }
-    status = coordinator->Restore(doc);
-    if (!status.ok()) {
-      std::cerr << "error: " << flags.Get("resume_from") << ": "
-                << status.ToString() << '\n';
-      return 1;
-    }
-    start = coordinator->next_sequence();
-    if (start > static_cast<int64_t>(input.records.size())) {
-      std::cerr << "error: checkpoint consumed " << start
-                << " records but the log holds only " << input.records.size()
-                << '\n';
-      return 1;
-    }
-    // Routing is deterministic, so the consumed prefix rebuilds the global
-    // state the checkpoint's engines were derived from; FinishReplay
-    // verifies the two actually agree.
-    for (int64_t i = 0; i < start; ++i) {
-      const StreamRecord& record = input.records[i];
-      (void)coordinator->ReplayRouting(record.task, record.worker,
-                                       payload(record));
-    }
-    status = coordinator->FinishReplay();
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-    std::cout << "restored checkpoint: " << start
+    std::cout << "restored checkpoint: " << coordinator.next_sequence()
               << " answers already consumed\n";
   }
 
   const int report_interval = flags.GetInt("report_interval");
-  int64_t skipped = 0;
-  int64_t replayed = 0;
-  for (int64_t i = start; i < static_cast<int64_t>(input.records.size());
-       ++i) {
-    const StreamRecord& record = input.records[i];
-    status =
-        coordinator->Observe(record.task, record.worker, payload(record));
-    if (!status.ok()) {
-      const bool duplicate =
-          status.message().find("duplicate") != std::string::npos;
-      if (!duplicate &&
-          policy == crowdtruth::data::BadRecordPolicy::kReject) {
-        std::cerr << "error: " << status.ToString() << '\n';
-        return 1;
-      }
-      ++skipped;
-    } else {
-      ++replayed;
-      if (report_interval > 0 && replayed % report_interval == 0) {
-        std::cout << "[stream] answers=" << coordinator->answers_accepted()
-                  << " barriers=" << coordinator->barriers_run() << '\n';
-      }
-    }
-    if (checkpoint_every > 0 &&
-        coordinator->next_sequence() % checkpoint_every == 0) {
-      crowdtruth::util::Stopwatch watch;
-      const std::string path =
-          checkpoint_dir + "/" +
-          shard::CheckpointFileName("checkpoint",
-                                    coordinator->next_sequence());
-      status = shard::WriteJsonFileAtomic(path, coordinator->MakeCheckpoint());
-      if (!status.ok()) {
-        std::cerr << "error: " << status.ToString() << '\n';
-        return 1;
-      }
-      coordinator->NoteCheckpoint(watch.ElapsedSeconds());
-    }
-    if (g_metrics_server != nullptr) g_metrics_server->Poll(0);
-  }
-
-  typename Coordinator::BatchResult global;
+  status = replay->Run(
+      static_cast<int64_t>(input.records.size()), [&](bool accepted) {
+        if (accepted && report_interval > 0 &&
+            replay->replayed() % report_interval == 0) {
+          std::cout << "[stream] answers=" << coordinator.answers_accepted()
+                    << " barriers=" << coordinator.barriers_run() << '\n';
+        }
+        if (g_metrics_server != nullptr) g_metrics_server->RunOnce(0);
+      });
+  typename Method::BatchResult global;
   const bool final_resync = flags.GetBool("final_resync");
-  if (final_resync) {
-    status = coordinator->GlobalResync(&global);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
+  if (status.ok() && final_resync) status = coordinator.GlobalResync(&global);
+  if (!status.ok()) {
+    std::cerr << "error: " << status.ToString() << '\n';
+    return 1;
   }
 
-  std::cout << "stream: " << coordinator->answers_accepted() << " answers ("
-            << replayed << " replayed, " << skipped << " skipped), "
-            << coordinator->global_num_tasks() << " tasks, "
-            << coordinator->global_num_workers() << " workers across "
-            << coordinator->shard_count() << " shards\n"
-            << "shard: " << coordinator->barriers_run()
+  std::cout << "stream: " << coordinator.answers_accepted() << " answers ("
+            << replay->replayed() << " replayed, " << replay->skipped()
+            << " skipped), " << coordinator.global_num_tasks() << " tasks, "
+            << coordinator.global_num_workers() << " workers across "
+            << coordinator.shard_count() << " shards\n"
+            << "shard: " << coordinator.barriers_run()
             << " barriers, final global resync "
             << (final_resync ? "done" : "skipped") << '\n';
 
-  std::vector<std::pair<std::string, std::string>> estimates;
-  estimates.reserve(coordinator->global_num_tasks());
-  int labeled = 0;
-  [[maybe_unused]] int correct = 0;
-  [[maybe_unused]] double abs_sum = 0.0;
-  [[maybe_unused]] double sq_sum = 0.0;
-  for (int gid = 0; gid < coordinator->global_num_tasks(); ++gid) {
-    const std::string name = coordinator->tasks().Name(gid);
-    if constexpr (kCategorical) {
-      data::LabelId label = 0;
-      if (final_resync) {
-        label = global.labels[gid];
-      } else if (coordinator->TaskOwner(gid) >= 0) {
-        // Without the global solve, serve the owning shard's (approximate,
-        // globally informed) estimate.
-        label = coordinator->engine(coordinator->TaskOwner(gid))
-                    .method()
-                    .Estimate(coordinator->TaskLocal(gid));
+  // Without the global solve, each task serves its owning shard's
+  // (approximate, globally informed) estimate.
+  using Payload = typename shard::ShardCoordinator<Method>::Payload;
+  const auto estimate = [&](int gid) -> Payload {
+    if (final_resync) {
+      if constexpr (kCategorical) {
+        return global.labels[gid];
+      } else {
+        return global.values[gid];
       }
-      const auto it = input.truth_labels.find(name);
-      if (it != input.truth_labels.end()) {
-        ++labeled;
-        if (label == it->second) ++correct;
-      }
-      estimates.emplace_back(name, std::to_string(label));
-    } else {
-      double value = 0.0;
-      if (final_resync) {
-        value = global.values[gid];
-      } else if (coordinator->TaskOwner(gid) >= 0) {
-        value = coordinator->engine(coordinator->TaskOwner(gid))
-                    .method()
-                    .Estimate(coordinator->TaskLocal(gid));
-      }
-      const auto it = input.truth_values.find(name);
-      if (it != input.truth_values.end()) {
-        ++labeled;
-        const double err = value - it->second;
-        abs_sum += std::fabs(err);
-        sq_sum += err * err;
-      }
-      estimates.emplace_back(name, std::to_string(value));
     }
+    const int owner = coordinator.TaskOwner(gid);
+    return owner < 0 ? Payload{}
+                     : coordinator.engine(owner).method().Estimate(
+                           coordinator.TaskLocal(gid));
+  };
+  shard::CsvPairs estimates;
+  for (int gid = 0; gid < coordinator.global_num_tasks(); ++gid) {
+    estimates.emplace_back(coordinator.tasks().Name(gid),
+                           std::to_string(estimate(gid)));
   }
-
-  std::vector<std::pair<std::string, std::string>> workers;
-  workers.reserve(coordinator->global_num_workers());
+  std::vector<double> quality(coordinator.global_num_workers(), 0.0);
   if (final_resync) {
-    for (int gid = 0; gid < coordinator->global_num_workers(); ++gid) {
-      workers.emplace_back(coordinator->workers().Name(gid),
-                           std::to_string(global.worker_quality[gid]));
-    }
+    quality = global.worker_quality;
   } else {
-    std::vector<double> quality(coordinator->global_num_workers(), 0.0);
-    for (int s = 0; s < coordinator->shard_count(); ++s) {
-      const auto& engine = coordinator->engine(s);
+    for (int s = 0; s < coordinator.shard_count(); ++s) {
+      const auto& engine = coordinator.engine(s);
       for (int lid = 0; lid < engine.workers().size(); ++lid) {
         const int gid =
-            coordinator->workers().Find(engine.workers().Name(lid));
-        if (gid >= 0 && gid < coordinator->global_num_workers()) {
+            coordinator.workers().Find(engine.workers().Name(lid));
+        if (gid >= 0 && gid < coordinator.global_num_workers()) {
           quality[gid] = engine.method().WorkerQuality(lid);
         }
       }
     }
-    for (int gid = 0; gid < coordinator->global_num_workers(); ++gid) {
-      workers.emplace_back(coordinator->workers().Name(gid),
-                           std::to_string(quality[gid]));
-    }
   }
+  shard::CsvPairs workers;
+  for (int gid = 0; gid < coordinator.global_num_workers(); ++gid) {
+    workers.emplace_back(coordinator.workers().Name(gid),
+                         std::to_string(quality[gid]));
+  }
+  const Quality scored = Score(
+      input, coordinator.global_num_tasks(),
+      [&coordinator](int gid) { return coordinator.tasks().Name(gid); },
+      estimate);
+  std::cout << "final:" << QualityLine(input, scored) << '\n';
 
   JsonValue report = JsonValue::Object();
   report.Set("tool", "crowdtruth_stream");
   report.Set("mode", mode);
   report.Set("type", kCategorical ? "categorical" : "numeric");
   report.Set("method", method_name);
-  report.Set("shards", coordinator->shard_count());
-  report.Set("answers", coordinator->answers_accepted());
-  report.Set("num_tasks", coordinator->global_num_tasks());
-  report.Set("num_workers", coordinator->global_num_workers());
+  report.Set("shards", coordinator.shard_count());
+  report.Set("answers", coordinator.answers_accepted());
+  report.Set("num_tasks", coordinator.global_num_tasks());
+  report.Set("num_workers", coordinator.global_num_workers());
   report.Set("barrier_interval",
-             static_cast<int64_t>(config.barrier_interval));
-  report.Set("barriers", coordinator->barriers_run());
-  report.Set("checkpoint_every", checkpoint_every);
+             static_cast<int64_t>(config.coordinator.barrier_interval));
+  report.Set("barriers", coordinator.barriers_run());
+  report.Set("checkpoint_every", config.checkpoint_every);
   if constexpr (kCategorical) report.Set("num_choices", input.num_choices);
-  JsonValue final = JsonValue::Object();
-  final.Set("labeled_tasks", labeled);
-  if (labeled > 0) {
-    if constexpr (kCategorical) {
-      final.Set("accuracy", static_cast<double>(correct) / labeled);
-    } else {
-      final.Set("mae", abs_sum / labeled);
-      final.Set("rmse", std::sqrt(sq_sum / labeled));
-    }
-  }
-  report.Set("final", std::move(final));
-
-  if constexpr (kCategorical) {
-    std::cout << "final: accuracy="
-              << (labeled > 0
-                      ? TablePrinter::Percent(
-                            static_cast<double>(correct) / labeled, 2) +
-                            " (" + std::to_string(labeled) + " labeled)"
-                      : std::string("n/a"))
-              << '\n';
-  } else {
-    if (labeled > 0) {
-      std::cout << "final: mae=" << TablePrinter::Fixed(abs_sum / labeled, 3)
-                << " rmse="
-                << TablePrinter::Fixed(std::sqrt(sq_sum / labeled), 3)
-                << " (" << labeled << " labeled)\n";
-    } else {
-      std::cout << "final: mae=n/a\n";
-    }
-  }
-  return FinishWithOutputs(flags, std::move(report), estimates, workers);
+  report.Set("final", QualityJson(input, scored));
+  return FinishWithOutputs(flags, report, estimates, workers);
 }
 
 }  // namespace
@@ -1033,10 +820,13 @@ int main(int argc, char** argv) {
   }
 
   // Metrics: install the process-wide registry when any metrics surface is
-  // requested, and start the live exporter when --metrics_port >= 0.
+  // requested, and serve it when --metrics_port >= 0.
   crowdtruth::obs::MetricRegistry registry;
-  crowdtruth::obs::MetricsHttpServer server(&registry);
   const int metrics_port = flags.GetInt("metrics_port");
+  crowdtruth::server::ServerConfig metrics_config;
+  metrics_config.port = metrics_port;
+  metrics_config.controller_enabled = false;  // no tenants to steer
+  crowdtruth::server::StreamingServer server(metrics_config, &registry);
   const std::string metrics_out = flags.Get("metrics_out");
   if (metrics_port >= 0 || !metrics_out.empty() ||
       flags.GetInt("serve_port") >= 0) {
@@ -1048,7 +838,7 @@ int main(int argc, char** argv) {
   const std::string trace_out = flags.Get("trace_out");
   if (!trace_out.empty()) crowdtruth::obs::InstallFlightRecorder(&recorder);
   if (metrics_port >= 0) {
-    const Status started = server.Start(metrics_port);
+    const Status started = server.Start();
     if (!started.ok()) {
       std::cerr << "error: " << started.ToString() << '\n';
       return 1;
@@ -1062,17 +852,16 @@ int main(int argc, char** argv) {
   const bool sharded = flags.GetInt("shards") != 1 ||
                        flags.GetInt("checkpoint_every") > 0 ||
                        !flags.Get("resume_from").empty();
+  using Categorical = streaming::IncrementalCategoricalMethod;
+  using Numeric = streaming::IncrementalNumericMethod;
+  const bool categorical = input.type == data::AnswerLogType::kCategorical;
   int code;
   if (sharded) {
-    code = input.type == data::AnswerLogType::kCategorical
-               ? RunSharded<crowdtruth::shard::CategoricalShardCoordinator>(
-                     flags, input, mode)
-               : RunSharded<crowdtruth::shard::NumericShardCoordinator>(
-                     flags, input, mode);
+    code = categorical ? RunSharded<Categorical>(flags, input, mode)
+                       : RunSharded<Numeric>(flags, input, mode);
   } else {
-    code = input.type == data::AnswerLogType::kCategorical
-               ? RunCategorical(flags, input, mode)
-               : RunNumeric(flags, input, mode);
+    code = categorical ? RunSingle<Categorical>(flags, input, mode)
+                       : RunSingle<Numeric>(flags, input, mode);
   }
 
   const double linger = flags.GetDouble("metrics_linger");
@@ -1082,26 +871,15 @@ int main(int argc, char** argv) {
               << server.port() << '\n';
     crowdtruth::util::Stopwatch stopwatch;
     while (stopwatch.ElapsedSeconds() < linger) {
-      server.Poll(/*timeout_ms=*/50);
+      server.RunOnce(/*max_wait_ms=*/50);
     }
   }
   g_metrics_server = nullptr;
   server.Stop();
   if (!metrics_out.empty()) {
     crowdtruth::obs::InstallProcessMetrics(nullptr);
-    const bool json =
-        metrics_out.size() >= 5 &&
-        metrics_out.compare(metrics_out.size() - 5, 5, ".json") == 0;
-    Status dump;
-    if (json) {
-      dump = crowdtruth::util::WriteJsonFile(metrics_out, registry.ToJson());
-    } else {
-      std::ofstream out(metrics_out);
-      if (out) registry.WritePrometheus(out);
-      if (!out.good()) {
-        dump = Status::IoError("cannot write " + metrics_out);
-      }
-    }
+    const Status dump =
+        crowdtruth::obs::WriteMetricsFile(metrics_out, registry);
     if (!dump.ok()) {
       std::cerr << "error: " << dump.ToString() << '\n';
       if (code == 0) code = 1;

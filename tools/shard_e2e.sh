@@ -12,8 +12,9 @@
 #   3. four crowdtruth_shard worker processes all-reducing through a shared
 #      workdir, then merge mode, reproduce the same bytes (truth AND worker
 #      qualities);
-#   4. killing one worker mid-run (injected crash, exit 7) and restarting
-#      it from its latest checkpoint still reproduces the same bytes;
+#   4. SIGKILLing one worker mid-run (parked at a barrier, its peers not
+#      yet started) and restarting it from its latest checkpoint still
+#      reproduces the same bytes;
 #   5. the drive-mode /metrics dump carries the per-shard
 #      crowdtruth_shard_* families and passes the exposition checker;
 #   6. Buggify (src/scenario/buggify.h) is deterministic: the same
@@ -22,7 +23,10 @@
 #      are compiled out and the assertion holds trivially (empty logs);
 #      CI also runs this script under -DCROWDTRUTH_BUGGIFY=ON with
 #      CROWDTRUTH_BUGGIFY_SEED exported, which arms every assertion above
-#      with live fault injection.
+#      with live fault injection;
+#   7. the numeric branch, for Mean and Median: the single-engine replay,
+#      --shards=4, --resume_from a mid-run checkpoint, drive mode, and four
+#      workers plus merge all write the same truth and worker CSVs.
 #
 # Usage: tools/shard_e2e.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -112,10 +116,29 @@ cmp "$WORK/single.csv" "$WORK/merged.csv" \
 cmp "$WORK/workers1.csv" "$WORK/merged_workers.csv" \
     || fail "merged worker qualities differ from the single replay"
 
-# Assertion 4: kill shard 2 mid-run (injected crash past its second
-# checkpoint), restart it from the latest checkpoint, merge — same bytes.
+# Assertion 4: start shard 2 alone; once it publishes its barrier-100
+# summary it is parked at that barrier (its peers are not running) with its
+# sequence-50 checkpoint on disk. SIGKILL it, start the peers, restart it
+# from the latest checkpoint, merge — same bytes.
 mkdir -p "$WORK/wd2"
+"$SHARD" --mode=worker --log="$WORK/answers.log" --shards=4 \
+    --shard_index=2 --workdir="$WORK/wd2" --method=ZC \
+    --barrier_interval=100 --checkpoint_every=50 \
+    > "$WORK/wd2/worker2_crash.out" 2>&1 &
+WORKER_PIDS=$!
+for _ in $(seq 1 600); do
+  [ -e "$WORK/wd2/summary_100_s2.json" ] && break
+  sleep 0.05
+done
+[ -e "$WORK/wd2/summary_100_s2.json" ] \
+    || fail "worker 2 never reached barrier 100"
+kill -9 $WORKER_PIDS
+wait $WORKER_PIDS 2>/dev/null || true
 WORKER_PIDS=""
+[ ! -e "$WORK/wd2/worker2_final.json" ] \
+    || fail "worker 2 finished its slice before the kill"
+ls "$WORK/wd2" | grep -q '^worker2_[0-9]*\.json$' \
+    || fail "killed worker left no checkpoint behind"
 for i in 0 1 3; do
   "$SHARD" --mode=worker --log="$WORK/answers.log" --shards=4 \
       --shard_index="$i" --workdir="$WORK/wd2" --method=ZC \
@@ -123,18 +146,9 @@ for i in 0 1 3; do
       > "$WORK/wd2/worker$i.out" 2>&1 &
   WORKER_PIDS="$WORKER_PIDS $!"
 done
-crash_exit=0
 "$SHARD" --mode=worker --log="$WORK/answers.log" --shards=4 \
     --shard_index=2 --workdir="$WORK/wd2" --method=ZC \
-    --barrier_interval=100 --checkpoint_every=100 --crash_after=250 \
-    > "$WORK/wd2/worker2_crash.out" 2>&1 || crash_exit=$?
-[ "$crash_exit" = 7 ] \
-    || fail "injected crash exited $crash_exit, wanted 7"
-ls "$WORK/wd2" | grep -q '^worker2_[0-9]*\.json$' \
-    || fail "crashed worker left no checkpoint behind"
-"$SHARD" --mode=worker --log="$WORK/answers.log" --shards=4 \
-    --shard_index=2 --workdir="$WORK/wd2" --method=ZC \
-    --barrier_interval=100 --checkpoint_every=100 --resume \
+    --barrier_interval=100 --checkpoint_every=50 --resume \
     > "$WORK/wd2/worker2_resume.out" 2>&1 \
     || fail "restarted worker failed (log in $WORK/wd2/worker2_resume.out)"
 for pid in $WORKER_PIDS; do
@@ -182,6 +196,56 @@ for shards in 1 4; do
       || fail "fault logs differ across identical runs ($shards shards)"
   cmp "$WORK/single.csv" "$WORK/bgA$shards/truth.csv" \
       || fail "buggify run truth differs from fault-free replay ($shards shards)"
+done
+
+# Assertion 7: the numeric branch of every shape, for Mean and Median.
+awk 'BEGIN { s = 5; print "crowdtruth_log,v1,numeric";
+  for (t = 0; t < 40; ++t) for (w = 0; w < 7; ++w) {
+    s = (s * 16807) % 2147483647;
+    if (s % 5 != 0) printf "t%d,w%d,%.2f\n", t, w, 40 + t % 9 + (s % 2000) / 100.0;
+  } }' > "$WORK/numeric.log"
+# same SHAPE TRUTH_CSV WORKERS_CSV: both match the single-engine replay.
+same() {
+  cmp "$N/single.csv" "$2" || fail "$method: $1 truth differs"
+  cmp "$N/single_workers.csv" "$3" || fail "$method: $1 worker qualities differ"
+}
+for method in Mean Median; do
+  N="$WORK/numeric_$method"
+  mkdir -p "$N/ckpt" "$N/wd"
+  "$STREAM" --log="$WORK/numeric.log" --method=$method --resync_interval=500 \
+      --output="$N/single.csv" --workers_output="$N/single_workers.csv" \
+      > /dev/null
+  "$STREAM" --log="$WORK/numeric.log" --method=$method --shards=4 \
+      --resync_interval=100 --checkpoint_every=100 --checkpoint_dir="$N/ckpt" \
+      --output="$N/shard4.csv" --workers_output="$N/shard4_workers.csv" \
+      > /dev/null
+  same "--shards=4" "$N/shard4.csv" "$N/shard4_workers.csv"
+  middle=$(ls "$N/ckpt" | sort | awk 'NR == 2')
+  [ -n "$middle" ] || fail "$method: expected at least two checkpoints"
+  "$STREAM" --log="$WORK/numeric.log" --method=$method --shards=4 \
+      --resync_interval=100 --resume_from="$N/ckpt/$middle" \
+      --output="$N/resumed.csv" --workers_output="$N/resumed_workers.csv" \
+      > /dev/null
+  same "--resume_from=$middle" "$N/resumed.csv" "$N/resumed_workers.csv"
+  "$SHARD" --log="$WORK/numeric.log" --shards=4 --method=$method \
+      --barrier_interval=100 --output="$N/drive.csv" \
+      --workers_output="$N/drive_workers.csv" > /dev/null
+  same "drive mode" "$N/drive.csv" "$N/drive_workers.csv"
+  for i in 0 1 2 3; do
+    "$SHARD" --mode=worker --log="$WORK/numeric.log" --shards=4 \
+        --shard_index="$i" --workdir="$N/wd" --method=$method \
+        --barrier_interval=100 --checkpoint_every=100 \
+        > "$N/wd/worker$i.out" 2>&1 &
+    WORKER_PIDS="$WORKER_PIDS $!"
+  done
+  for pid in $WORKER_PIDS; do
+    wait "$pid" || fail "$method: a worker process failed (logs in $N/wd)"
+  done
+  WORKER_PIDS=""
+  "$SHARD" --mode=merge --log="$WORK/numeric.log" --shards=4 \
+      --workdir="$N/wd" --method=$method --output="$N/merged.csv" \
+      --workers_output="$N/merged_workers.csv" > /dev/null
+  same "4 workers + merge" "$N/merged.csv" "$N/merged_workers.csv"
 done
 
 echo "shard e2e: all assertions passed"
