@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -128,26 +129,53 @@ Status AnswerLogWriter::Create(const std::string& path,
   return Status::Ok();
 }
 
-Status AnswerLogWriter::AppendRow(const std::string& task,
-                                  const std::string& worker,
-                                  const std::string& answer) {
+void AnswerLogWriter::StageIds(std::string_view task,
+                               std::string_view worker) {
+  util::AppendCsvField(task, staged_);
+  staged_ += ',';
+  util::AppendCsvField(worker, staged_);
+  staged_ += ',';
+}
+
+void AnswerLogWriter::Stage(std::string_view task, std::string_view worker,
+                            LabelId label) {
+  StageIds(task, worker);
+  char digits[16];
+  staged_.append(digits,
+                 std::to_chars(digits, digits + sizeof(digits), label).ptr);
+  staged_ += '\n';
+}
+
+void AnswerLogWriter::Stage(std::string_view task, std::string_view worker,
+                            double value) {
+  StageIds(task, worker);
+  util::JsonNumber(value, staged_);
+  staged_ += '\n';
+}
+
+Status AnswerLogWriter::Commit() {
+  if (staged_.empty()) return Status::Ok();
   if (!out_.is_open()) {
+    staged_.clear();
     return Status::InvalidArgument("answer log writer is not open");
   }
-  out_ << util::FormatCsvLine({task, worker, answer}) << '\n';
+  out_.write(staged_.data(), static_cast<std::streamsize>(staged_.size()));
   out_.flush();
+  staged_.clear();
   if (!out_) return Status::IoError("write failed on " + path_);
   return Status::Ok();
 }
 
 Status AnswerLogWriter::Append(const std::string& task,
                                const std::string& worker, LabelId label) {
-  return AppendRow(task, worker, std::to_string(label));
+  Stage(task, worker, label);
+  return Commit();
 }
 
 Status AnswerLogWriter::Append(const std::string& task,
                                const std::string& worker, double value) {
-  return AppendRow(task, worker, util::JsonNumber(value));
+  Stage(task, worker, value);
+  return Commit();
 }
 
 Status AnswerLogReader::Open(const std::string& path) {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "data/dataset.h"
 #include "data/validate.h"
@@ -56,9 +57,13 @@ struct AnswerLogRecord {
 // is per-worker state (streaming/worker_summary.h).
 int ShardOfTask(const std::string& task, int shard_count);
 
-// Sequential writer. Create() truncates and writes the header; Append()
-// adds one answer row. The stream is flushed per Append so a concurrently
-// replaying reader observes whole records.
+// Sequential writer. Create() truncates and writes the header. Rows are
+// group-committed: Stage() formats an answer row into an in-memory buffer,
+// and Commit() hands every row staged since the last commit to the file
+// with one write and one flush (no fsync). A concurrently replaying reader
+// therefore observes whole records, and never a staged row before its
+// commit. Append() is Stage() + Commit() of a single row; the file bytes
+// are the same either way.
 class AnswerLogWriter {
  public:
   AnswerLogWriter() = default;
@@ -67,17 +72,24 @@ class AnswerLogWriter {
                              const AnswerLogHeader& header,
                              AnswerLogWriter* out);
 
+  void Stage(std::string_view task, std::string_view worker, LabelId label);
+  void Stage(std::string_view task, std::string_view worker, double value);
+  // Writes and flushes the staged rows, then empties the stage (also on
+  // failure). A no-op when nothing is staged.
+  util::Status Commit();
+
   util::Status Append(const std::string& task, const std::string& worker,
                       LabelId label);
   util::Status Append(const std::string& task, const std::string& worker,
                       double value);
 
  private:
-  util::Status AppendRow(const std::string& task, const std::string& worker,
-                         const std::string& answer);
+  // Stages `task,worker,` — the row up to its answer field.
+  void StageIds(std::string_view task, std::string_view worker);
 
   std::string path_;
   std::ofstream out_;
+  std::string staged_;
 };
 
 // Sequential reader. Open() validates the header; Next() yields records in

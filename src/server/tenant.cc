@@ -1,6 +1,12 @@
 #include "server/tenant.h"
 
+#include <cerrno>
+#include <charconv>
 #include <cstdlib>
+#include <deque>
+#include <functional>
+#include <limits>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -13,32 +19,38 @@ namespace crowdtruth::server {
 
 namespace {
 
-// Splits `body` into non-empty lines, tolerating both \n and \r\n.
-std::vector<std::string> SplitLines(const std::string& body) {
-  std::vector<std::string> lines;
-  size_t start = 0;
-  while (start <= body.size()) {
-    size_t end = body.find('\n', start);
-    if (end == std::string::npos) end = body.size();
-    std::string line = body.substr(start, end - start);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (!line.empty()) lines.push_back(std::move(line));
-    if (end == body.size()) break;
-    start = end + 1;
+// A request-scoped (worker, task) id pair, viewing the request body (or a
+// ParseCsvLine copy of a quoted line).
+using IdPair = std::pair<std::string_view, std::string_view>;
+
+struct IdPairHash {
+  size_t operator()(const IdPair& pair) const {
+    const std::hash<std::string_view> hash;
+    const size_t worker = hash(pair.first);
+    return worker ^ (hash(pair.second) + 0x9e3779b9u + (worker << 6) +
+                     (worker >> 2));
   }
-  return lines;
-}
+};
 
 }  // namespace
 
 std::string IngestResult::ToJson() const {
-  util::JsonValue root = util::JsonValue::Object();
-  root.Set("accepted", accepted);
-  root.Set("dropped", dropped);
-  root.Set("duplicates", duplicates);
-  root.Set("out_of_range", out_of_range);
-  root.Set("parse_errors", parse_errors);
-  return root.Dump(0) + "\n";
+  std::string out;
+  util::JsonWriter writer(out, 0);
+  writer.BeginObject();
+  writer.Key("accepted");
+  writer.Int(accepted);
+  writer.Key("dropped");
+  writer.Int(dropped);
+  writer.Key("duplicates");
+  writer.Int(duplicates);
+  writer.Key("out_of_range");
+  writer.Int(out_of_range);
+  writer.Key("parse_errors");
+  writer.Int(parse_errors);
+  writer.EndObject();
+  out += '\n';
+  return out;
 }
 
 Tenant::Tenant(std::string name, TenantOptions options,
@@ -133,34 +145,59 @@ util::Status Tenant::Ingest(const std::string& body, IngestResult* result) {
   }
   const bool reject =
       options_.bad_record_policy == data::BadRecordPolicy::kReject;
-  const std::vector<std::string> lines = SplitLines(body);
+  // A row that yields a record (`w,t,l` and a newline) takes at least six
+  // bytes, so this bounds the records without a counting pass.
+  const size_t max_records = body.size() / 6 + 1;
 
-  // Parse `worker,task,label` rows into the validator's raw-record form.
-  // String ids are interned into a *scratch* table scoped to this request:
-  // rows the validator drops must not perturb the engine's first-appearance
+  // Parse `worker,task,label` rows into the validator's raw-record form in
+  // one pass over the body: non-empty lines split on \n (one trailing \r
+  // stripped), fields viewing the body. Only a line holding a quote or a
+  // stray \r needs ParseCsvLine's unquoting; its fields are copied into
+  // `unquoted`, whose elements never move. (worker, task) pairs are
+  // interned into a *scratch* table scoped to this request: rows the
+  // validator drops must not perturb the engine's first-appearance
   // interning order, or the tenant's log replay would diverge.
   std::vector<data::RawCategoricalAnswer> records;
-  std::vector<std::pair<std::string, std::string>> id_strings;  // by scratch id
-  std::unordered_map<std::string, int> scratch;
-  records.reserve(lines.size());
-  auto intern = [&](const std::string& worker, const std::string& task) {
-    const std::string key = worker + "\x1f" + task;
-    const auto it = scratch.find(key);
-    if (it != scratch.end()) return it->second;
-    const int id = static_cast<int>(id_strings.size());
-    scratch.emplace(key, id);
-    id_strings.emplace_back(worker, task);
-    return id;
-  };
+  std::vector<IdPair> pairs;  // by scratch id
+  std::unordered_map<IdPair, int, IdPairHash> scratch;
+  std::deque<std::string> unquoted;
+  records.reserve(max_records);
+  scratch.reserve(max_records);
+  std::string label_text;
   int64_t row_number = 0;
-  for (const std::string& line : lines) {
+  for (size_t start = 0; start < body.size();) {
+    size_t end = body.find('\n', start);
+    if (end == std::string::npos) end = body.size();
+    std::string_view line(body.data() + start, end - start);
+    start = end + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line.empty()) continue;
     ++row_number;
-    const std::vector<std::string> fields = util::ParseCsvLine(line);
+
+    std::string_view fields[3];
+    size_t field_count = 0;
+    if (line.find_first_of("\"\r") == std::string_view::npos) {
+      for (size_t from = 0;; ++field_count) {
+        const size_t comma = line.find(',', from);
+        if (field_count < 3) {
+          fields[field_count] = line.substr(from, comma - from);
+        }
+        if (comma == std::string_view::npos) break;
+        from = comma + 1;
+      }
+      ++field_count;
+    } else {
+      std::vector<std::string> parsed = util::ParseCsvLine(line);
+      field_count = parsed.size();
+      for (size_t f = 0; f < 3 && f < field_count; ++f) {
+        fields[f] = unquoted.emplace_back(std::move(parsed[f]));
+      }
+    }
     util::Status parse_error;
-    if (fields.size() != 3) {
+    if (field_count != 3) {
       parse_error = util::Status::ParseError(
           "ingest row " + std::to_string(row_number) + ": expected "
-          "worker,task,label, got " + std::to_string(fields.size()) +
+          "worker,task,label, got " + std::to_string(field_count) +
           " fields");
     } else if (fields[0].empty() || fields[1].empty()) {
       parse_error = util::Status::ParseError(
@@ -169,12 +206,22 @@ util::Status Tenant::Ingest(const std::string& body, IngestResult* result) {
     }
     long label = 0;
     if (parse_error.ok()) {
-      char* end = nullptr;
-      label = std::strtol(fields[2].c_str(), &end, 10);
-      if (end == fields[2].c_str() || *end != '\0') {
+      // strtol's accept set (leading whitespace, a sign), on a NUL-ended
+      // copy of the field; a value outside int is as malformed as text.
+      label_text.assign(fields[2]);
+      char* end_ptr = nullptr;
+      errno = 0;
+      label = std::strtol(label_text.c_str(), &end_ptr, 10);
+      if (end_ptr == label_text.c_str() || *end_ptr != '\0') {
         parse_error = util::Status::ParseError(
             "ingest row " + std::to_string(row_number) + ": label \"" +
-            fields[2] + "\" is not an integer");
+            label_text + "\" is not an integer");
+      } else if (errno == ERANGE ||
+                 label < std::numeric_limits<data::LabelId>::min() ||
+                 label > std::numeric_limits<data::LabelId>::max()) {
+        parse_error = util::Status::ParseError(
+            "ingest row " + std::to_string(row_number) + ": label \"" +
+            label_text + "\" is outside the integer range");
       }
     }
     if (!parse_error.ok()) {
@@ -186,10 +233,12 @@ util::Status Tenant::Ingest(const std::string& body, IngestResult* result) {
     data::RawCategoricalAnswer record;
     record.row = row_number;
     // The validator keys duplicates on (task, worker); both come from the
-    // same scratch pair id so distinct string pairs stay distinct.
-    const int pair_id = intern(fields[0], fields[1]);
-    record.task = pair_id;
-    record.worker = pair_id;
+    // same scratch pair id so distinct id pairs stay distinct.
+    const auto [it, inserted] = scratch.emplace(
+        IdPair(fields[0], fields[1]), static_cast<int>(pairs.size()));
+    if (inserted) pairs.push_back(it->first);
+    record.task = it->second;
+    record.worker = it->second;
     record.label = static_cast<data::LabelId>(label);
     records.push_back(record);
   }
@@ -221,23 +270,34 @@ util::Status Tenant::Ingest(const std::string& body, IngestResult* result) {
 
   // Observe survivors in order. The engine still rejects duplicates against
   // *earlier requests* (its answer store is the cross-request state).
+  // Accepted rows are staged in the log and committed with one write per
+  // request — also when a reject-policy request fails part-way, so the log
+  // keeps exactly the rows the engine applied.
+  std::string task;
+  std::string worker;
   for (const data::RawCategoricalAnswer& record : records) {
-    const auto& [worker, task] = id_strings[record.task];
-    status = ObserveAnswer(task, worker, record.label);
-    if (!status.ok()) {
-      const bool duplicate =
-          status.message().find("duplicate") != std::string::npos;
-      if (reject) return status;
-      if (duplicate) ++result->duplicates;
+    worker.assign(pairs[record.task].first);
+    task.assign(pairs[record.task].second);
+    util::Status observed = ObserveAnswer(task, worker, record.label);
+    if (!observed.ok()) {
+      if (reject) {
+        status = std::move(observed);
+        break;
+      }
+      if (observed.message().find("duplicate") != std::string::npos) {
+        ++result->duplicates;
+      }
       ++result->dropped;
       continue;
     }
     ++result->accepted;
-    if (log_ != nullptr) {
-      status = log_->Append(task, worker, record.label);
-      if (!status.ok()) return status;
-    }
+    if (log_ != nullptr) log_->Stage(task, worker, record.label);
   }
+  if (log_ != nullptr) {
+    const util::Status logged = log_->Commit();
+    if (!logged.ok()) return logged;
+  }
+  if (!status.ok()) return status;
   if (tickets_ >= 0) {
     tickets_ -= result->accepted;
     if (tickets_ < 0) tickets_ = 0;
@@ -290,62 +350,80 @@ data::LabelId ShardedEstimate(
 }  // namespace
 
 std::string Tenant::TruthCsv() const {
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({"task", "truth"});
-  if (coordinator_ != nullptr) {
-    for (int gid = 0; gid < coordinator_->global_num_tasks(); ++gid) {
-      rows.push_back({coordinator_->tasks().Name(gid),
-                      std::to_string(ShardedEstimate(*coordinator_, gid))});
-    }
-  } else {
-    const auto& method = engine_->method();
-    for (int t = 0; t < method.num_tasks(); ++t) {
-      rows.push_back({engine_->tasks().Name(t),
-                      std::to_string(method.Estimate(t))});
-    }
-  }
+  const bool sharded = coordinator_ != nullptr;
+  const int num_tasks = sharded ? coordinator_->global_num_tasks()
+                                : engine_->method().num_tasks();
+  const streaming::StreamIdInterner& names =
+      sharded ? coordinator_->tasks() : engine_->tasks();
   std::string out;
-  for (const auto& row : rows) out += util::FormatCsvLine(row) + "\n";
+  out.reserve(16 + static_cast<size_t>(num_tasks) * 16);
+  out += "task,truth\n";
+  char tail[16] = {','};  // ",<truth>\n"
+  for (int t = 0; t < num_tasks; ++t) {
+    const data::LabelId truth = sharded ? ShardedEstimate(*coordinator_, t)
+                                        : engine_->method().Estimate(t);
+    util::AppendCsvField(names.Name(t), out);
+    char* end = std::to_chars(tail + 1, tail + sizeof(tail) - 1, truth).ptr;
+    *end++ = '\n';
+    out.append(tail, end);
+  }
   return out;
 }
 
 std::string Tenant::TruthJson() const {
-  util::JsonValue root = util::JsonValue::Object();
-  root.Set("tenant", name_);
-  root.Set("method", method_name());
-  root.Set("answers", answers_seen());
-  util::JsonValue tasks = util::JsonValue::Array();
-  if (coordinator_ != nullptr) {
+  const bool sharded = coordinator_ != nullptr;
+  const int num_tasks = sharded ? coordinator_->global_num_tasks()
+                                : engine_->method().num_tasks();
+  const streaming::StreamIdInterner& names =
+      sharded ? coordinator_->tasks() : engine_->tasks();
+  std::string out;
+  out.reserve(256 + static_cast<size_t>(num_tasks) * 64);
+  util::JsonWriter writer(out, 2);
+  writer.BeginObject();
+  writer.Key("tenant");
+  writer.String(name_);
+  writer.Key("method");
+  writer.String(method_name());
+  writer.Key("answers");
+  writer.Int(answers_seen());
+  if (sharded) {
     int64_t resyncs = 0;
     for (int s = 0; s < coordinator_->shard_count(); ++s) {
       resyncs += coordinator_->engine(s).stats().resyncs;
     }
-    root.Set("resyncs", resyncs);
-    root.Set("shards", coordinator_->shard_count());
-    root.Set("barriers", coordinator_->barriers_run());
-    root.Set("num_tasks", coordinator_->global_num_tasks());
-    root.Set("num_workers", coordinator_->global_num_workers());
-    for (int gid = 0; gid < coordinator_->global_num_tasks(); ++gid) {
-      util::JsonValue entry = util::JsonValue::Object();
-      entry.Set("task", coordinator_->tasks().Name(gid));
-      entry.Set("truth",
-                static_cast<int64_t>(ShardedEstimate(*coordinator_, gid)));
-      tasks.Append(std::move(entry));
-    }
+    writer.Key("resyncs");
+    writer.Int(resyncs);
+    writer.Key("shards");
+    writer.Int(coordinator_->shard_count());
+    writer.Key("barriers");
+    writer.Int(coordinator_->barriers_run());
+    writer.Key("num_tasks");
+    writer.Int(num_tasks);
+    writer.Key("num_workers");
+    writer.Int(coordinator_->global_num_workers());
   } else {
-    const auto& method = engine_->method();
-    root.Set("resyncs", engine_->stats().resyncs);
-    root.Set("num_tasks", method.num_tasks());
-    root.Set("num_workers", method.num_workers());
-    for (int t = 0; t < method.num_tasks(); ++t) {
-      util::JsonValue entry = util::JsonValue::Object();
-      entry.Set("task", engine_->tasks().Name(t));
-      entry.Set("truth", static_cast<int64_t>(method.Estimate(t)));
-      tasks.Append(std::move(entry));
-    }
+    writer.Key("resyncs");
+    writer.Int(engine_->stats().resyncs);
+    writer.Key("num_tasks");
+    writer.Int(num_tasks);
+    writer.Key("num_workers");
+    writer.Int(engine_->method().num_workers());
   }
-  root.Set("tasks", std::move(tasks));
-  return root.Dump(2) + "\n";
+  writer.Key("tasks");
+  writer.BeginArray();
+  for (int t = 0; t < num_tasks; ++t) {
+    writer.BeginObject();
+    writer.Key("task");
+    writer.String(names.Name(t));
+    writer.Key("truth");
+    writer.Int(sharded ? ShardedEstimate(*coordinator_, t)
+                       : engine_->method().Estimate(t));
+    writer.EndObject();
+  }
+  writer.EndArray();
+  writer.EndObject();
+  out += '\n';
+  return out;
 }
 
 void Tenant::ForceResync() {

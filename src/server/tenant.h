@@ -93,10 +93,12 @@ class Tenant {
   int64_t answers_seen() const;
 
   // Ingests a newline-delimited `worker,task,label` body. Typed failures:
-  // ParseError (malformed row under kReject), ValidationError (validator
-  // finding under kReject), InvalidArgument (engine rejection under
-  // kReject), IoError (answer log write). Repair policies degrade these to
-  // dropped-row counts and keep going.
+  // ParseError (malformed row, or a label outside int, under kReject),
+  // ValidationError (validator finding under kReject), InvalidArgument
+  // (engine rejection under kReject), IoError (answer log write). Repair
+  // policies degrade these to dropped-row counts and keep going. The rows
+  // the engine accepted reach the log in one commit per request, also
+  // when an engine rejection fails a kReject request part-way.
   util::Status Ingest(const std::string& body, IngestResult* result);
 
   // Current estimates as `task,truth` CSV (the exact format

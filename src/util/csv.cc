@@ -12,7 +12,7 @@ void StripUtf8Bom(std::string* line) {
   }
 }
 
-std::vector<std::string> ParseCsvLine(const std::string& line) {
+std::vector<std::string> ParseCsvLine(std::string_view line) {
   std::vector<std::string> fields;
   std::string current;
   bool in_quotes = false;
@@ -44,21 +44,28 @@ std::vector<std::string> ParseCsvLine(const std::string& line) {
   return fields;
 }
 
+void AppendCsvField(std::string_view field, std::string& out) {
+  // One branch-free scan; find_first_of would test each byte against the
+  // three specials with a call per byte.
+  bool special = false;
+  for (const char c : field) special |= (c == ',') | (c == '"') | (c == '\n');
+  if (!special) {
+    out += field;
+    return;
+  }
+  out.push_back('"');
+  for (const char c : field) {
+    if (c == '"') out.push_back('"');
+    out.push_back(c);
+  }
+  out.push_back('"');
+}
+
 std::string FormatCsvLine(const std::vector<std::string>& fields) {
   std::string line;
   for (size_t i = 0; i < fields.size(); ++i) {
     if (i > 0) line.push_back(',');
-    const std::string& field = fields[i];
-    if (field.find_first_of(",\"\n") != std::string::npos) {
-      line.push_back('"');
-      for (char c : field) {
-        if (c == '"') line.push_back('"');
-        line.push_back(c);
-      }
-      line.push_back('"');
-    } else {
-      line += field;
-    }
+    AppendCsvField(fields[i], line);
   }
   return line;
 }

@@ -5,6 +5,7 @@
 #define CROWDTRUTH_UTIL_CSV_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -15,11 +16,16 @@ namespace crowdtruth::util {
 // routinely prepend one; left in place it corrupts the first header field.
 void StripUtf8Bom(std::string* line);
 
-// Splits one CSV line into fields.
-std::vector<std::string> ParseCsvLine(const std::string& line);
+// Splits one CSV line into fields. A `"` opens or closes quoting anywhere
+// in a field, `""` inside quotes is a literal quote, and a `\r` outside
+// quotes is dropped (CRLF tolerance).
+std::vector<std::string> ParseCsvLine(std::string_view line);
 
-// Joins fields into one CSV line, quoting fields that contain commas or
-// quotes.
+// Appends `field` to `out` as one CSV field: verbatim, or quoted (with
+// inner quotes doubled) when it contains a comma, a quote or a newline.
+void AppendCsvField(std::string_view field, std::string& out);
+
+// Joins fields into one CSV line with AppendCsvField.
 std::string FormatCsvLine(const std::vector<std::string>& fields);
 
 // Reads a whole CSV file into rows of fields. Skips blank lines.

@@ -5,6 +5,7 @@
 
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,13 @@ std::string TempPath(const std::string& name) {
 void WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   out << content;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 TEST(AnswerLogTest, CategoricalWriteReadRoundTrip) {
@@ -75,6 +83,89 @@ TEST(AnswerLogTest, NumericWriteReadRoundTrip) {
   EXPECT_DOUBLE_EQ(record.value, -1.5);
   ASSERT_TRUE(reader.Next(&record, &eof).ok());
   EXPECT_TRUE(eof);
+}
+
+TEST(AnswerLogTest, StagedRowsAreInvisibleUntilCommit) {
+  const std::string path = TempPath("log_staged.csv");
+  AnswerLogWriter writer;
+  AnswerLogHeader header;
+  header.num_choices = 3;
+  ASSERT_TRUE(AnswerLogWriter::Create(path, header, &writer).ok());
+  writer.Stage("task, one", "w\"q", LabelId{2});
+  writer.Stage("t2", "w1", LabelId{0});
+
+  AnswerLogReader before;
+  ASSERT_TRUE(before.Open(path).ok());
+  AnswerLogRecord record;
+  bool eof = false;
+  ASSERT_TRUE(before.Next(&record, &eof).ok());
+  EXPECT_TRUE(eof) << "a staged row reached the file before Commit()";
+
+  ASSERT_TRUE(writer.Commit().ok());
+  AnswerLogReader after;
+  ASSERT_TRUE(after.Open(path).ok());
+  ASSERT_TRUE(after.Next(&record, &eof).ok());
+  ASSERT_FALSE(eof);
+  EXPECT_EQ(record.task, "task, one");
+  EXPECT_EQ(record.worker, "w\"q");
+  EXPECT_EQ(record.label, 2);
+  ASSERT_TRUE(after.Next(&record, &eof).ok());
+  ASSERT_FALSE(eof);
+  EXPECT_EQ(record.task, "t2");
+  ASSERT_TRUE(after.Next(&record, &eof).ok());
+  EXPECT_TRUE(eof);
+  // Nothing staged: Commit() is a no-op.
+  const std::string committed = ReadFile(path);
+  ASSERT_TRUE(writer.Commit().ok());
+  EXPECT_EQ(ReadFile(path), committed);
+}
+
+TEST(AnswerLogTest, GroupCommitWritesTheBytesOfPerRowAppend) {
+  struct Row {
+    std::string task;
+    std::string worker;
+    LabelId label;
+    double value;
+  };
+  const std::vector<Row> rows = {
+      {"t,1", "w\"1\"", 2, 3.25},   {"t\n2", "plain", 0, -1.5},
+      {"t3", "w,2", 1, 0.1},        {"\"", ",", 7, 1e-300},
+      {"t5", "w5", 1024, 12345678.9}, {"t6", "w6", -3, -0.0},
+  };
+  for (const AnswerLogType type :
+       {AnswerLogType::kCategorical, AnswerLogType::kNumeric}) {
+    const bool categorical = type == AnswerLogType::kCategorical;
+    AnswerLogHeader header;
+    header.type = type;
+    header.num_choices = categorical ? 4 : 0;
+    const std::string per_row_path = TempPath("log_per_row.csv");
+    const std::string grouped_path = TempPath("log_grouped.csv");
+    AnswerLogWriter per_row;
+    AnswerLogWriter grouped;
+    ASSERT_TRUE(AnswerLogWriter::Create(per_row_path, header, &per_row).ok());
+    ASSERT_TRUE(AnswerLogWriter::Create(grouped_path, header, &grouped).ok());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Row& row = rows[i];
+      if (categorical) {
+        ASSERT_TRUE(per_row.Append(row.task, row.worker, row.label).ok());
+        grouped.Stage(row.task, row.worker, row.label);
+      } else {
+        ASSERT_TRUE(per_row.Append(row.task, row.worker, row.value).ok());
+        grouped.Stage(row.task, row.worker, row.value);
+      }
+      // Two group commits: after the third row and at the end.
+      if (i == 2) ASSERT_TRUE(grouped.Commit().ok());
+    }
+    ASSERT_TRUE(grouped.Commit().ok());
+    EXPECT_EQ(ReadFile(grouped_path), ReadFile(per_row_path));
+  }
+}
+
+TEST(AnswerLogTest, CommitOnAnUnopenedWriterFails) {
+  AnswerLogWriter writer;
+  writer.Stage("t", "w", LabelId{1});
+  EXPECT_EQ(writer.Commit().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(writer.Commit().ok());  // the failed stage was dropped
 }
 
 TEST(AnswerLogTest, OpenRejectsMissingFileAndBadHeader) {

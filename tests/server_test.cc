@@ -11,10 +11,13 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,12 +27,14 @@
 #include "server/server.h"
 #include "streaming/engine.h"
 #include "streaming/registry.h"
+#include "util/csv.h"
 #include "util/json_writer.h"
 
 namespace server = crowdtruth::server;
 namespace data = crowdtruth::data;
 namespace obs = crowdtruth::obs;
 namespace streaming = crowdtruth::streaming;
+namespace util = crowdtruth::util;
 
 namespace {
 
@@ -471,6 +476,521 @@ TEST_F(ServerTest, TenantLabelCardinalityCapCollapsesToOther) {
   EXPECT_EQ(text.find("tenant=\"three\""), std::string::npos);
   EXPECT_EQ(text.find("tenant=\"four\""), std::string::npos);
   EXPECT_EQ(registry_.LabelCardinality("tenant"), 2);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// Replays a tenant's answer log through a fresh engine built the way
+// Tenant::Create builds one from `options`, resyncs, and renders the
+// `task,truth` CSV the server serves.
+std::string ReplayLogTruth(const std::string& log_path,
+                           const server::TenantOptions& options) {
+  data::AnswerLogReader reader;
+  EXPECT_TRUE(reader.Open(log_path).ok());
+  streaming::StreamingOptions streaming_options;
+  streaming_options.local_sweeps = options.local_sweeps;
+  streaming_options.max_dirty_tasks = options.max_dirty_tasks;
+  streaming_options.batch.seed = options.seed;
+  streaming::EngineConfig engine_config;
+  engine_config.resync_interval = options.resync_interval;
+  streaming::CategoricalStreamEngine replay(
+      streaming::MakeIncrementalCategorical(options.method,
+                                            options.num_choices,
+                                            streaming_options),
+      engine_config);
+  data::AnswerLogRecord record;
+  bool eof = false;
+  while (true) {
+    EXPECT_TRUE(reader.Next(&record, &eof).ok());
+    if (eof) break;
+    EXPECT_TRUE(
+        replay.Observe(record.task, record.worker, record.label).ok());
+  }
+  replay.Resync();
+  std::string truth = "task,truth\n";
+  for (int t = 0; t < replay.method().num_tasks(); ++t) {
+    truth += util::FormatCsvLine(
+                 {replay.tasks().Name(t),
+                  std::to_string(replay.method().Estimate(t))}) +
+             "\n";
+  }
+  return truth;
+}
+
+// A label outside int is a parse error: never wrapped into a valid label
+// (4294967297 -> 1) nor saturated into an out-of-range finding.
+TEST_F(ServerTest, OversizedLabelsAreParseErrorsNotWrapped) {
+  server::ServerConfig config = Config();
+  config.tenant_defaults.num_choices = 4;
+  config.tenant_defaults.data_dir = ::testing::TempDir();
+  server::StreamingServer srv(config, &registry_);
+  const std::vector<std::string> oversized = {
+      "4294967297", "-4294967295", "99999999999999999999"};
+  for (const std::string& label : oversized) {
+    const server::HttpResponse response =
+        srv.Handle(Post("/v1/tenants/wide/answers", "w1,t1," + label + "\n"));
+    EXPECT_EQ(response.status, 400) << label;
+    EXPECT_NE(response.body.find("\"error\": \"ParseError\""),
+              std::string::npos)
+        << label << ": " << response.body;
+  }
+  server::Tenant* wide = srv.FindTenant("wide");
+  ASSERT_NE(wide, nullptr);
+  EXPECT_EQ(wide->answers_seen(), 0);
+  EXPECT_EQ(ReadFile(wide->log_path()), "crowdtruth_log,v1,categorical,4\n");
+
+  // Under a repair policy each one is a parse_errors drop.
+  const server::HttpResponse repaired = srv.Handle(Post(
+      "/v1/tenants/wide_drop/answers?on_bad_record=drop",
+      "w1,t1,4294967297\nw2,t2,-4294967295\nw3,t3,99999999999999999999\n"
+      "w4,t4,1\n"));
+  ASSERT_EQ(repaired.status, 200);
+  EXPECT_NE(repaired.body.find("\"accepted\": 1"), std::string::npos);
+  EXPECT_NE(repaired.body.find("\"dropped\": 3"), std::string::npos);
+  EXPECT_NE(repaired.body.find("\"out_of_range\": 0"), std::string::npos);
+  EXPECT_NE(repaired.body.find("\"parse_errors\": 3"), std::string::npos);
+  EXPECT_EQ(ReadFile(srv.FindTenant("wide_drop")->log_path()),
+            "crowdtruth_log,v1,categorical,4\nt4,w4,1\n");
+}
+
+// A reject-policy request that hits a duplicate of an earlier request's
+// (worker, task) pair fails with 400 after its earlier rows were applied;
+// the group commit still logs exactly those rows, so replaying the log
+// keeps reproducing the served truth.
+TEST_F(ServerTest, RejectedRequestLogsExactlyItsAppliedRows) {
+  server::ServerConfig config = Config();
+  config.tenant_defaults.data_dir = ::testing::TempDir();
+  server::StreamingServer srv(config, &registry_);
+  ASSERT_EQ(srv.Handle(Post("/v1/tenants/group/answers",
+                            "w1,t1,0\nw2,t1,1\n"))
+                .status,
+            200);
+  const std::string log_path = srv.FindTenant("group")->log_path();
+  const std::string before = ReadFile(log_path);
+
+  const server::HttpResponse response =
+      srv.Handle(Post("/v1/tenants/group/answers",
+                      "w3,t2,1\n\"w,4\",t2,2\nw1,t1,2\nw5,t3,0\n"));
+  EXPECT_EQ(response.status, 400);
+  EXPECT_NE(response.body.find("\"error\": \"InvalidArgument\""),
+            std::string::npos)
+      << response.body;
+  EXPECT_EQ(ReadFile(log_path), before + "t2,w3,1\nt2,\"w,4\",2\n");
+  EXPECT_EQ(srv.FindTenant("group")->answers_seen(), 4);
+
+  const std::string served =
+      srv.Handle(Get("/v1/tenants/group/truth?resync=1")).body;
+  EXPECT_EQ(ReplayLogTruth(log_path, config.tenant_defaults), served);
+}
+
+// --- Differential references -------------------------------------------
+// Test-local copies of the row-table ingest and truth rendering that the
+// one-pass Tenant code replaced. The tenant must match them byte for byte.
+
+std::vector<std::string> ReferenceSplitLines(const std::string& body) {
+  std::vector<std::string> lines;
+  size_t start = 0;
+  while (start <= body.size()) {
+    size_t end = body.find('\n', start);
+    if (end == std::string::npos) end = body.size();
+    std::string line = body.substr(start, end - start);
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty()) lines.push_back(std::move(line));
+    if (end == body.size()) break;
+    start = end + 1;
+  }
+  return lines;
+}
+
+std::string ReferenceResultJson(const server::IngestResult& result) {
+  util::JsonValue root = util::JsonValue::Object();
+  root.Set("accepted", result.accepted);
+  root.Set("dropped", result.dropped);
+  root.Set("duplicates", result.duplicates);
+  root.Set("out_of_range", result.out_of_range);
+  root.Set("parse_errors", result.parse_errors);
+  return root.Dump(0) + "\n";
+}
+
+// Lines owned by a vector, fields by ParseCsvLine, labels through an
+// unchecked strtol cast, (worker, task) interned through a concatenated
+// key, and one log Append per accepted row.
+util::Status ReferenceIngest(const std::string& body,
+                             data::BadRecordPolicy policy,
+                             streaming::CategoricalStreamEngine* engine,
+                             data::AnswerLogWriter* log,
+                             server::IngestResult* result) {
+  const bool reject = policy == data::BadRecordPolicy::kReject;
+  const std::vector<std::string> lines = ReferenceSplitLines(body);
+  std::vector<data::RawCategoricalAnswer> records;
+  std::vector<std::pair<std::string, std::string>> id_strings;
+  std::unordered_map<std::string, int> scratch;
+  auto intern = [&](const std::string& worker, const std::string& task) {
+    const std::string key = worker + "\x1f" + task;
+    const auto it = scratch.find(key);
+    if (it != scratch.end()) return it->second;
+    const int id = static_cast<int>(id_strings.size());
+    scratch.emplace(key, id);
+    id_strings.emplace_back(worker, task);
+    return id;
+  };
+  int64_t row_number = 0;
+  for (const std::string& line : lines) {
+    ++row_number;
+    const std::vector<std::string> fields = util::ParseCsvLine(line);
+    util::Status parse_error;
+    if (fields.size() != 3) {
+      parse_error = util::Status::ParseError(
+          "ingest row " + std::to_string(row_number) + ": expected "
+          "worker,task,label, got " + std::to_string(fields.size()) +
+          " fields");
+    } else if (fields[0].empty() || fields[1].empty()) {
+      parse_error = util::Status::ParseError(
+          "ingest row " + std::to_string(row_number) +
+          ": empty worker or task id");
+    }
+    long label = 0;
+    if (parse_error.ok()) {
+      char* end = nullptr;
+      label = std::strtol(fields[2].c_str(), &end, 10);
+      if (end == fields[2].c_str() || *end != '\0') {
+        parse_error = util::Status::ParseError(
+            "ingest row " + std::to_string(row_number) + ": label \"" +
+            fields[2] + "\" is not an integer");
+      }
+    }
+    if (!parse_error.ok()) {
+      if (reject) return parse_error;
+      ++result->parse_errors;
+      ++result->dropped;
+      continue;
+    }
+    data::RawCategoricalAnswer record;
+    record.row = row_number;
+    const int pair_id = intern(fields[0], fields[1]);
+    record.task = pair_id;
+    record.worker = pair_id;
+    record.label = static_cast<data::LabelId>(label);
+    records.push_back(record);
+  }
+  data::ValidationOptions validation;
+  validation.policy = policy;
+  data::ValidationReport report;
+  const size_t before_validation = records.size();
+  util::Status status = data::ValidateCategoricalRecords(
+      "ingest", engine->method().num_choices(), validation, &records,
+      &report);
+  if (!status.ok()) return status;
+  result->duplicates += report.duplicate_answers;
+  result->out_of_range += report.out_of_range_labels;
+  result->dropped +=
+      static_cast<int64_t>(before_validation - records.size());
+  for (const data::RawCategoricalAnswer& record : records) {
+    const auto& [worker, task] = id_strings[record.task];
+    status = engine->Observe(task, worker, record.label);
+    if (!status.ok()) {
+      if (reject) return status;
+      if (status.message().find("duplicate") != std::string::npos) {
+        ++result->duplicates;
+      }
+      ++result->dropped;
+      continue;
+    }
+    ++result->accepted;
+    status = log->Append(task, worker, record.label);
+    if (!status.ok()) return status;
+  }
+  return util::Status::Ok();
+}
+
+data::LabelId ReferenceShardedEstimate(server::Tenant& tenant, int gid) {
+  auto& coordinator = tenant.coordinator();
+  const int owner = coordinator.TaskOwner(gid);
+  if (owner < 0) return 0;
+  return coordinator.engine(owner).method().Estimate(
+      coordinator.TaskLocal(gid));
+}
+
+std::string ReferenceTruthCsv(server::Tenant& tenant) {
+  std::vector<std::vector<std::string>> rows;
+  rows.push_back({"task", "truth"});
+  if (tenant.sharded()) {
+    auto& coordinator = tenant.coordinator();
+    for (int gid = 0; gid < coordinator.global_num_tasks(); ++gid) {
+      rows.push_back({coordinator.tasks().Name(gid),
+                      std::to_string(ReferenceShardedEstimate(tenant, gid))});
+    }
+  } else {
+    const auto& method = tenant.engine().method();
+    for (int t = 0; t < method.num_tasks(); ++t) {
+      rows.push_back({tenant.engine().tasks().Name(t),
+                      std::to_string(method.Estimate(t))});
+    }
+  }
+  std::string out;
+  for (const auto& row : rows) out += util::FormatCsvLine(row) + "\n";
+  return out;
+}
+
+std::string ReferenceTruthJson(server::Tenant& tenant) {
+  util::JsonValue root = util::JsonValue::Object();
+  root.Set("tenant", tenant.name());
+  root.Set("method", tenant.method_name());
+  root.Set("answers", tenant.answers_seen());
+  util::JsonValue tasks = util::JsonValue::Array();
+  if (tenant.sharded()) {
+    auto& coordinator = tenant.coordinator();
+    int64_t resyncs = 0;
+    for (int s = 0; s < coordinator.shard_count(); ++s) {
+      resyncs += coordinator.engine(s).stats().resyncs;
+    }
+    root.Set("resyncs", resyncs);
+    root.Set("shards", coordinator.shard_count());
+    root.Set("barriers", coordinator.barriers_run());
+    root.Set("num_tasks", coordinator.global_num_tasks());
+    root.Set("num_workers", coordinator.global_num_workers());
+    for (int gid = 0; gid < coordinator.global_num_tasks(); ++gid) {
+      util::JsonValue entry = util::JsonValue::Object();
+      entry.Set("task", coordinator.tasks().Name(gid));
+      entry.Set("truth", static_cast<int64_t>(
+                             ReferenceShardedEstimate(tenant, gid)));
+      tasks.Append(std::move(entry));
+    }
+  } else {
+    const auto& method = tenant.engine().method();
+    root.Set("resyncs", tenant.engine().stats().resyncs);
+    root.Set("num_tasks", method.num_tasks());
+    root.Set("num_workers", method.num_workers());
+    for (int t = 0; t < method.num_tasks(); ++t) {
+      util::JsonValue entry = util::JsonValue::Object();
+      entry.Set("task", tenant.engine().tasks().Name(t));
+      entry.Set("truth", static_cast<int64_t>(method.Estimate(t)));
+      tasks.Append(std::move(entry));
+    }
+  }
+  root.Set("tasks", std::move(tasks));
+  return root.Dump(2) + "\n";
+}
+
+// A tenant (with an answer log) and the reference path (its own engine
+// and log), fed the same request sequence.
+class IngestDifferential {
+ public:
+  IngestDifferential(const std::string& name, data::BadRecordPolicy policy)
+      : policy_(policy) {
+    server::TenantOptions options;
+    options.method = "ZC";
+    options.num_choices = 3;
+    options.resync_interval = 7;
+    options.bad_record_policy = policy;
+    options.data_dir = ::testing::TempDir();
+    EXPECT_TRUE(server::Tenant::Create(name, options, &tenant_).ok());
+    streaming::StreamingOptions streaming_options;
+    streaming_options.local_sweeps = options.local_sweeps;
+    streaming_options.max_dirty_tasks = options.max_dirty_tasks;
+    streaming_options.batch.seed = options.seed;
+    streaming::EngineConfig engine_config;
+    engine_config.resync_interval = options.resync_interval;
+    engine_ = std::make_unique<streaming::CategoricalStreamEngine>(
+        streaming::MakeIncrementalCategorical("ZC", 3, streaming_options),
+        engine_config);
+    reference_log_path_ =
+        ::testing::TempDir() + "/" + name + "_reference.log";
+    data::AnswerLogHeader header;
+    header.num_choices = 3;
+    EXPECT_TRUE(data::AnswerLogWriter::Create(reference_log_path_, header,
+                                              &reference_log_)
+                    .ok());
+  }
+
+  // Sends `body` down both paths; the status, the response JSON and the
+  // log bytes must agree.
+  void Send(const std::string& body) {
+    server::IngestResult got;
+    server::IngestResult want;
+    const util::Status got_status = tenant_->Ingest(body, &got);
+    const util::Status want_status = ReferenceIngest(
+        body, policy_, engine_.get(), &reference_log_, &want);
+    const std::string context = ::testing::PrintToString(body);
+    EXPECT_EQ(got_status.code(), want_status.code()) << context;
+    EXPECT_EQ(got_status.message(), want_status.message()) << context;
+    EXPECT_EQ(got.ToJson(), ReferenceResultJson(want)) << context;
+    EXPECT_EQ(ReadFile(tenant_->log_path()), ReadFile(reference_log_path_))
+        << context;
+  }
+
+  // Both engines observed the same answers, so they serve the same truth.
+  void ExpectSameTruth() {
+    std::string reference = "task,truth\n";
+    for (int t = 0; t < engine_->method().num_tasks(); ++t) {
+      reference += util::FormatCsvLine(
+                       {engine_->tasks().Name(t),
+                        std::to_string(engine_->method().Estimate(t))}) +
+                   "\n";
+    }
+    EXPECT_EQ(tenant_->TruthCsv(), reference);
+  }
+
+ private:
+  data::BadRecordPolicy policy_;
+  std::unique_ptr<server::Tenant> tenant_;
+  std::unique_ptr<streaming::CategoricalStreamEngine> engine_;
+  std::string reference_log_path_;
+  data::AnswerLogWriter reference_log_;
+};
+
+// Hand-picked bodies for the framing and label corners the one-pass
+// parser special-cases, in an order that also produces cross-request
+// duplicates. Labels outside int are left out: there the paths differ on
+// purpose (OversizedLabelsAreParseErrorsNotWrapped).
+const std::vector<std::string>& CornerBodies() {
+  static const std::vector<std::string> bodies = {
+      "w1,t1,1\r\nw2,t1,2\r\n",
+      "w3,t\r2,1\n",
+      "w3,\"t,3\",0\nw\"\"4,t3,1\n\"w\"\"5\",\"t,3\",2\n",
+      "\n\nw6,t4,1\n\n\r\nw7,t4,0\n",
+      "w8,t5,2",
+      "w9,t6\nw9,t7,1\n",
+      "w9,t6,1,extra\nw10,t7,1\n",
+      ",t7,1\nw11,t7,1\n",
+      "w12,,1\nw13,t7,1\n",
+      ",,\n",
+      "w14,t8, 2\nw15,t8,+2\n",
+      "w16,t8,2 \n",
+      "w17,t8,0x1\n",
+      "w18,t8,\n",
+      "w19,t8,-1\n",
+      "w20,t9,1\nw1,t1,0\nw21,t9,2\n",
+      "w22,t10,1\nw22,t10,2\n",
+      "w23,t11,3\n",
+      "\r\r\nw24,t12,1\r\r\n",
+      "w25,\"t13\"x,1\n",
+      "\"w26,t14,1\n",
+      "w27,\"t\r15\",1\r\n",
+      "w28,t16,1\r",
+      std::string("w29,t17,2\0x\n", 12),
+      "\r\n\r\n",
+      "",
+  };
+  return bodies;
+}
+
+// Seeded random bodies: rows of ids that need quoting, labels in and out
+// of strtol's accept set, and mutations (a field dropped or added, a
+// stray \r or quote) on a small id space, so duplicates within and across
+// requests are common.
+std::string RandomBody(std::mt19937* rng) {
+  auto pick = [rng](const std::vector<std::string>& options) {
+    return options[(*rng)() % options.size()];
+  };
+  static const std::vector<std::string> workers = {
+      "w1", "w2", "w3", "w\"4", "w,5", "w\\6", ""};
+  static const std::vector<std::string> tasks = {
+      "t1", "t2", "t,3", "t\x01", "t\xc3\xa9", "t\"6", ""};
+  static const std::vector<std::string> labels = {
+      "0", "1", "2", "3", "-1", " 2", "+2", "2 ", "0x1", "", "1\r", "02"};
+  auto encode = [rng](const std::string& field) {
+    if (field.find_first_of(",\"") == std::string::npos && (*rng)() % 4) {
+      return field;
+    }
+    std::string quoted = "\"";
+    for (const char c : field) {
+      if (c == '"') quoted += '"';
+      quoted += c;
+    }
+    return quoted + "\"";
+  };
+  std::string body;
+  const int rows = static_cast<int>((*rng)() % 6);
+  for (int r = 0; r < rows; ++r) {
+    std::string row = encode(pick(workers)) + "," + encode(pick(tasks)) +
+                      "," + encode(pick(labels));
+    switch ((*rng)() % 12) {
+      case 0:
+        row.erase(row.rfind(','));
+        break;
+      case 1:
+        row += ",x";
+        break;
+      case 2:
+        row.insert((*rng)() % (row.size() + 1), "\r");
+        break;
+      case 3:
+        row.insert((*rng)() % (row.size() + 1), "\"");
+        break;
+      case 4:
+        body += "\n";
+        break;
+      default:
+        break;
+    }
+    body += row;
+    if (r + 1 < rows || (*rng)() % 3) body += (*rng)() % 2 ? "\n" : "\r\n";
+  }
+  return body;
+}
+
+TEST(IngestDifferentialTest, MatchesRowTableParseUnderEveryPolicy) {
+  const std::vector<std::pair<std::string, data::BadRecordPolicy>> policies =
+      {{"diff_reject", data::BadRecordPolicy::kReject},
+       {"diff_drop", data::BadRecordPolicy::kDropRow},
+       {"diff_dedupe", data::BadRecordPolicy::kDedupeKeepLast}};
+  for (const auto& [name, policy] : policies) {
+    SCOPED_TRACE(name);
+    IngestDifferential differential(name, policy);
+    for (const std::string& body : CornerBodies()) differential.Send(body);
+    std::mt19937 rng(20260417);
+    for (int i = 0; i < 400; ++i) differential.Send(RandomBody(&rng));
+    differential.ExpectSameTruth();
+  }
+}
+
+// TruthCsv / TruthJson against the row-table and DOM renderings, for a
+// single-engine and a 4-shard tenant, with task ids that need CSV quoting
+// and JSON escaping.
+TEST(TruthBodyTest, MatchesRowTableAndDomReferences) {
+  const std::string awkward_ids =
+      "w1,\"t\"\"quote\",1\n"
+      "w1,t\\back,2\n"
+      "w1,t\x01" "ctl,0\n"
+      "w1,t\ttab,1\n"
+      "w1,t\xc3\xa9,1\n"
+      "w2,\"t,comma\",2\n"
+      "w2,\"t\rcr\",1\n"
+      "w2,t\\back,0\n";
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    server::TenantOptions options;
+    options.method = "ZC";
+    options.num_choices = 3;
+    options.shards = shards;
+    options.resync_interval = 9;
+    std::unique_ptr<server::Tenant> tenant;
+    ASSERT_TRUE(server::Tenant::Create("reads", options, &tenant).ok());
+    // An empty tenant renders an empty task list.
+    EXPECT_EQ(tenant->TruthCsv(), ReferenceTruthCsv(*tenant));
+    EXPECT_EQ(tenant->TruthJson(), ReferenceTruthJson(*tenant));
+
+    server::IngestResult result;
+    ASSERT_TRUE(tenant->Ingest(awkward_ids, &result).ok());
+    ASSERT_TRUE(
+        tenant->Ingest(MakeWorkload(150, 30, 10, 3, 17), &result).ok());
+    EXPECT_EQ(tenant->TruthCsv(), ReferenceTruthCsv(*tenant));
+    EXPECT_EQ(tenant->TruthJson(), ReferenceTruthJson(*tenant));
+    EXPECT_NE(tenant->TruthCsv().find("\"t\"\"quote\",", 0),
+              std::string::npos);
+    EXPECT_NE(tenant->TruthJson().find("\"t\\u0001ctl\""),
+              std::string::npos);
+
+    tenant->ForceResync();
+    EXPECT_EQ(tenant->TruthCsv(), ReferenceTruthCsv(*tenant));
+    EXPECT_EQ(tenant->TruthJson(), ReferenceTruthJson(*tenant));
+  }
 }
 
 TEST(ValidTenantNameTest, AcceptsSafeRejectsHostile) {

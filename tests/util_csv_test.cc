@@ -37,6 +37,16 @@ TEST(CsvFormatTest, QuotesWhenNeeded) {
   EXPECT_EQ(FormatCsvLine({"a", "b,c", "d\"e"}), "a,\"b,c\",\"d\"\"e\"");
 }
 
+TEST(CsvFormatTest, AppendCsvFieldAppendsOneField) {
+  std::string out = "x,";
+  AppendCsvField("plain", out);
+  out += ',';
+  AppendCsvField("a,\"b\"", out);
+  out += ',';
+  AppendCsvField("line\nbreak", out);
+  EXPECT_EQ(out, "x,plain,\"a,\"\"b\"\"\",\"line\nbreak\"");
+}
+
 class CsvRoundTripTest
     : public ::testing::TestWithParam<std::vector<std::string>> {};
 

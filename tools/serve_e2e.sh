@@ -6,7 +6,9 @@
 # ?method=MV), then checks the subsystem's load-bearing claims:
 #
 #   1. the truth served for each tenant is BIT-IDENTICAL to an offline
-#      `crowdtruth_stream --log` replay of that tenant's answer log;
+#      `crowdtruth_stream --log` replay of that tenant's answer log, also
+#      after a request that failed part-way on a cross-request duplicate
+#      and a CRLF request with quoted ids (the steps just before it);
 #   2. malformed ingest answers a typed 4xx JSON error, never a 5xx;
 #   3. /metrics passes tools/check_metrics_exposition.py and carries the
 #      serving-plane families;
@@ -105,6 +107,30 @@ code=$(curl -s -o "$WORK/err.json" -w '%{http_code}' -X POST \
 [ "$code" = 400 ] || fail "malformed ingest answered $code, wanted 400"
 grep -q '"error": "ParseError"' "$WORK/err.json" \
     || fail "malformed ingest body lacks a typed error: $(cat "$WORK/err.json")"
+
+# A reject-policy request that repeats an already-ingested (worker, task)
+# pair after two fresh rows: 400 InvalidArgument, with the two fresh rows
+# applied and group-committed to the log. Assertion 1 then checks that
+# the log still replays to the served truth.
+printf 'w20,t0,1\nw20,t1,2\n%s\n' "$(head -1 "$WORK/alpha.csv")" \
+    > "$WORK/alpha_dup.csv"
+code=$(curl -s -o "$WORK/dup.json" -w '%{http_code}' -X POST \
+    --data-binary @"$WORK/alpha_dup.csv" "$BASE/v1/tenants/alpha/answers")
+[ "$code" = 400 ] || fail "cross-request duplicate answered $code, wanted 400"
+grep -q '"error": "InvalidArgument"' "$WORK/dup.json" \
+    || fail "duplicate body lacks a typed error: $(cat "$WORK/dup.json")"
+
+# A CRLF body with CSV-quoted worker ids ("w,21" and "w""22"): these rows
+# take the ParseCsvLine path and must land in the log with the same ids.
+printf '"w,21",t0,1\r\n"w""22",t0,2\r\n' > "$WORK/alpha_quoted.csv"
+curl -fsS -X POST --data-binary @"$WORK/alpha_quoted.csv" \
+    "$BASE/v1/tenants/alpha/answers" | grep -q '"accepted": 2' \
+    || fail "quoted CRLF rows were not both accepted"
+
+# The JSON truth body is valid JSON.
+curl -fsS "$BASE/v1/tenants/alpha/truth?format=json" \
+    | python3 -m json.tool > /dev/null \
+    || fail "alpha truth?format=json is not valid JSON"
 
 # Give the controller a few intervals to sample and act.
 sleep 1
