@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/parallel.h"
-#include "util/stopwatch.h"
 
 namespace crowdtruth::core {
 namespace {
@@ -96,18 +95,18 @@ EmLoopStats RunEmLoop(const EmDriver& driver, const std::vector<EmStep>& steps,
   obs::Span run_span("em_run");
   if (run_span.armed()) run_span.Annotate("method", driver.method);
   EmContext context(driver.num_threads);
-  // One phase clock feeds both consumers: the trace sink's per-iteration
-  // phase times and the registry's per-run phase totals. It is read once
-  // per phase boundary, and only when one of them is installed.
+  // The em_run span is the phase clock. It feeds both consumers: the trace
+  // sink's per-iteration phase times and the registry's per-run phase
+  // totals. It is read once per phase boundary, and only when one of them
+  // is installed.
   obs::MetricRegistry* const metrics = obs::ProcessMetrics();
   const bool timed = driver.trace != nullptr || metrics != nullptr;
-  const util::Stopwatch clock;
   double truth_seconds = 0.0;
   double quality_seconds = 0.0;
   for (int iteration = 0; iteration < driver.max_iterations; ++iteration) {
     context.iteration_ = iteration;
     IterationEvent event;
-    double mark = timed ? clock.ElapsedSeconds() : 0.0;
+    double mark = timed ? run_span.ElapsedSeconds() : 0.0;
     for (const EmStep& step : steps) {
       obs::Span step_span(step.phase == TracePhase::kTruthStep
                               ? "em_truth_step"
@@ -117,7 +116,7 @@ EmLoopStats RunEmLoop(const EmDriver& driver, const std::vector<EmStep>& steps,
       }
       step.run(context);
       if (timed) {
-        const double now = clock.ElapsedSeconds();
+        const double now = run_span.ElapsedSeconds();
         (step.phase == TracePhase::kTruthStep ? event.truth_seconds
                                               : event.quality_seconds) +=
             now - mark;

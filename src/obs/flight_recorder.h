@@ -15,7 +15,8 @@
 //
 // Like the metric registry, the recorder is installed process-wide
 // (InstallFlightRecorder); when none is installed — the default — every
-// span site reduces to one relaxed atomic pointer load and a branch, and
+// span site reduces to one relaxed atomic pointer load, a branch and the
+// span's start stamp (the one clock read its event is timed by), and
 // recording never steers: results are bit-identical with the recorder
 // armed (pinned by method_threading_test).
 #ifndef CROWDTRUTH_OBS_FLIGHT_RECORDER_H_
@@ -31,8 +32,8 @@
 namespace crowdtruth::obs {
 
 // One finished span. Times are seconds on the process-wide monotonic
-// clock (util::Stopwatch's steady_clock, zeroed at first span use), so
-// spans from different threads share one timeline.
+// clock (steady_clock, zeroed at the first armed span), so spans from
+// different threads share one timeline.
 struct SpanRecord {
   uint64_t trace_id = 0;   // shared by every span of one causal tree
   uint64_t span_id = 0;    // unique per span, process-wide

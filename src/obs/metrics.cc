@@ -196,11 +196,6 @@ Family<Gauge>* MetricRegistry::FindGaugeFamily(const std::string& name) {
   return FindFamily<Gauge>(name);
 }
 
-Family<Histogram>* MetricRegistry::FindHistogramFamily(
-    const std::string& name) {
-  return FindFamily<Histogram>(name);
-}
-
 Family<Digest>* MetricRegistry::FindDigestFamily(const std::string& name) {
   return FindFamily<Digest>(name);
 }

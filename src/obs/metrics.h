@@ -19,8 +19,10 @@
 //                 Prometheus summary form (quantile-labeled samples plus
 //                 _sum/_count). Buckets answer "how many samples fell
 //                 here"; digests answer "what is p99" with memory bounded
-//                 by the compression, not the bucket layout — the tail
-//                 signal the adaptive controller retunes on.
+//                 by the compression, not the bucket layout. The engine's
+//                 latency series are digests, so one series carries both
+//                 signals the adaptive controller steers on: the interval
+//                 mean (from _sum/_count deltas) and the tail quantiles.
 //
 // Metrics come in families: a family has a name, a help string and a list
 // of label names; each distinct label-value vector materializes one child
@@ -158,8 +160,9 @@ struct DigestOptions {
 };
 
 // A TDigest child instrument. Observe takes a never-shared-in-practice
-// mutex (per child, uncontended except against a scrape); still cheap, but
-// digests belong on per-request paths, not inside per-iteration kernels.
+// mutex (per child, uncontended except against a scrape); cheap enough for
+// one sample per answer or request, but digests do not belong inside
+// per-iteration kernels.
 class Digest {
  public:
   explicit Digest(const DigestOptions& options)
@@ -168,13 +171,6 @@ class Digest {
   void Observe(double value) {
     const std::lock_guard<std::mutex> lock(mutex_);
     digest_.Add(value);
-  }
-
-  // Folds an externally built sketch in (shard barriers merging per-shard
-  // digests into the coordinator's series).
-  void MergeFrom(const TDigest& other) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    digest_.Merge(other);
   }
 
   TDigest Snap() const {
@@ -292,7 +288,6 @@ class MetricRegistry {
   // name is unregistered or registered as a different kind.
   Family<Counter>* FindCounterFamily(const std::string& name);
   Family<Gauge>* FindGaugeFamily(const std::string& name);
-  Family<Histogram>* FindHistogramFamily(const std::string& name);
   Family<Digest>* FindDigestFamily(const std::string& name);
 
   // --- Label interning with a cardinality cap ---

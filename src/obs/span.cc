@@ -18,11 +18,6 @@ SteadyClock::time_point ProcessEpoch() {
   return epoch;
 }
 
-double SecondsSinceEpoch() {
-  return std::chrono::duration<double>(SteadyClock::now() - ProcessEpoch())
-      .count();
-}
-
 std::atomic<uint64_t> g_next_span_id{1};
 std::atomic<uint64_t> g_next_trace_id{1};
 
@@ -44,7 +39,10 @@ Span::Span(const char* name) : Span(name, SpanContext()) {}
 
 Span::Span(const char* name, const SpanContext& parent) {
   FlightRecorder* const recorder = ProcessFlightRecorder();
-  if (recorder == nullptr) return;
+  if (recorder == nullptr) {
+    start_ = SteadyClock::now();
+    return;
+  }
   record_ = new Active();
   record_->recorder = recorder;
   record_->parent = t_current_span;
@@ -62,13 +60,17 @@ Span::Span(const char* name, const SpanContext& parent) {
         g_next_trace_id.fetch_add(1, std::memory_order_relaxed);
   }
   t_current_span = record_;
-  record_->record.start_seconds = SecondsSinceEpoch();
+  const SteadyClock::time_point epoch = ProcessEpoch();
+  start_ = SteadyClock::now();
+  record_->record.start_seconds =
+      std::chrono::duration<double>(start_ - epoch).count();
 }
 
 Span::~Span() {
   if (record_ == nullptr) return;
-  record_->record.duration_seconds =
-      SecondsSinceEpoch() - record_->record.start_seconds;
+  // Same reading as ElapsedSeconds(), so the recorded duration bounds
+  // every elapsed time read inside the span.
+  record_->record.duration_seconds = ElapsedSeconds();
   // Pop even if an uninstall raced the span: the stack must stay balanced.
   if (t_current_span == record_) t_current_span = record_->parent;
   record_->recorder->Record(std::move(record_->record));

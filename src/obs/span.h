@@ -16,17 +16,24 @@
 // parent's SpanContext explicitly (shard_barrier -> engine_resync on the
 // worker pool). Roots mint a fresh trace_id; children inherit.
 //
-// Cost discipline mirrors the metric registry: with no recorder installed
-// a Span is one relaxed atomic load and a branch (no clock reads, no
-// allocation), and recording never steers — spans observe the run, they
-// never change what it computes (pinned bit-identical by
-// method_threading_test).
+// Every span is also the clock of the event it names: it stamps its start
+// whether or not it is armed, and ElapsedSeconds() reads the time since.
+// Callers that export an event's cost (engine Observe/Resync latency,
+// request duration, shard barrier waits, EM phase times) read it there
+// instead of running a second stopwatch beside the span.
 //
-// Timing uses the same steady_clock as util::Stopwatch, zeroed at the
-// first armed span, so all spans share one monotonic timeline.
+// Cost discipline: with no recorder installed a Span is one relaxed atomic
+// load, a branch and one steady_clock read (no allocation). An armed span
+// adds its record and the closing clock read. Recording never steers —
+// spans observe the run, they never change what it computes (pinned
+// bit-identical by method_threading_test).
+//
+// Recorded times are steady_clock seconds since the first armed span, so
+// all spans share one monotonic timeline.
 #ifndef CROWDTRUTH_OBS_SPAN_H_
 #define CROWDTRUTH_OBS_SPAN_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -66,14 +73,23 @@ class Span {
   bool armed() const { return record_ != nullptr; }
   SpanContext context() const;
 
+  // Seconds since the span opened, armed or not. Reads only the start
+  // stamp, so pool tasks may call it on their parent's span.
+  double ElapsedSeconds() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start_)
+        .count();
+  }
+
   // Implementation detail, public only so span.cc can keep the
   // thread-local stack of open spans at namespace scope.
   struct Active;
 
  private:
   // Heap-allocated only when armed, so the disarmed Span is a pointer and
-  // a branch on the stack.
+  // a start stamp on the stack.
   Active* record_ = nullptr;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace crowdtruth::obs

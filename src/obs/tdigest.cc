@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/logging.h"
-
 namespace crowdtruth::obs {
 
 namespace {
@@ -34,8 +32,8 @@ TDigest::TDigest(double compression)
   buffer_.reserve(static_cast<size_t>(compression_));
 }
 
-void TDigest::Add(double value, double weight) {
-  if (!std::isfinite(value) || !(weight > 0.0)) return;
+void TDigest::Add(double value) {
+  if (!std::isfinite(value)) return;
   if (count_ == 0) {
     min_ = value;
     max_ = value;
@@ -43,31 +41,10 @@ void TDigest::Add(double value, double weight) {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
-  count_ += static_cast<int64_t>(weight);
-  sum_ += value * weight;
-  buffer_.push_back({value, weight});
+  ++count_;
+  sum_ += value;
+  buffer_.push_back({value, 1.0});
   if (buffer_.size() >= static_cast<size_t>(compression_)) Compress();
-}
-
-void TDigest::Merge(const TDigest& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  // Both sides' compacted and pending centroids join one multiset. The
-  // compaction is deferred to the next read: an N-way merge then feeds the
-  // identical multiset into one sorted compaction regardless of merge
-  // order, which is what makes shard all-reduces order-stable. Memory
-  // between reads is bounded by ~2x compression centroids per merge.
-  buffer_.insert(buffer_.end(), other.centroids_.begin(),
-                 other.centroids_.end());
-  buffer_.insert(buffer_.end(), other.buffer_.begin(), other.buffer_.end());
 }
 
 void TDigest::Compress() const {
@@ -140,93 +117,6 @@ double TDigest::Quantile(double q) const {
   const double span = total - prev_midpoint;
   const double fraction = span > 0.0 ? (index - prev_midpoint) / span : 1.0;
   return prev_mean + std::min(1.0, fraction) * (max_ - prev_mean);
-}
-
-util::JsonValue TDigest::ToJson() const {
-  Compress();
-  util::JsonValue root = util::JsonValue::Object();
-  root.Set("format", "crowdtruth_tdigest");
-  root.Set("version", 1);
-  root.Set("compression", compression_);
-  root.Set("count", count_);
-  root.Set("sum", sum_);
-  root.Set("min", min_);
-  root.Set("max", max_);
-  util::JsonValue centroids = util::JsonValue::Array();
-  for (const TDigestCentroid& c : centroids_) {
-    util::JsonValue entry = util::JsonValue::Object();
-    entry.Set("m", c.mean);
-    entry.Set("w", c.weight);
-    centroids.Append(std::move(entry));
-  }
-  root.Set("centroids", std::move(centroids));
-  return root;
-}
-
-util::Status TDigest::FromJson(const util::JsonValue& doc, TDigest* out) {
-  const util::JsonValue* format = doc.Find("format");
-  if (format == nullptr || format->kind() != util::JsonValue::Kind::kString ||
-      format->string() != "crowdtruth_tdigest") {
-    return util::Status::InvalidArgument(
-        "not a crowdtruth_tdigest document");
-  }
-  const util::JsonValue* version = doc.Find("version");
-  if (version == nullptr ||
-      version->kind() != util::JsonValue::Kind::kNumber) {
-    return util::Status::InvalidArgument(
-        "tdigest field \"version\" missing or not a number");
-  }
-  if (static_cast<int>(version->number()) != 1) {
-    return util::Status::ValidationError(
-        "unsupported tdigest version " +
-        std::to_string(static_cast<int>(version->number())));
-  }
-  const char* const scalar_fields[] = {"compression", "count", "sum", "min",
-                                       "max"};
-  double scalars[5];
-  for (int i = 0; i < 5; ++i) {
-    const util::JsonValue* field = doc.Find(scalar_fields[i]);
-    if (field == nullptr ||
-        field->kind() != util::JsonValue::Kind::kNumber) {
-      return util::Status::InvalidArgument(
-          std::string("tdigest field \"") + scalar_fields[i] +
-          "\" missing or not a number");
-    }
-    scalars[i] = field->number();
-  }
-  const util::JsonValue* centroids = doc.Find("centroids");
-  if (centroids == nullptr ||
-      centroids->kind() != util::JsonValue::Kind::kArray) {
-    return util::Status::InvalidArgument(
-        "tdigest field \"centroids\" missing or not an array");
-  }
-  TDigest digest(scalars[0]);
-  digest.count_ = static_cast<int64_t>(scalars[1]);
-  digest.sum_ = scalars[2];
-  digest.min_ = scalars[3];
-  digest.max_ = scalars[4];
-  for (const util::JsonValue& item : centroids->items()) {
-    const util::JsonValue* mean = item.Find("m");
-    const util::JsonValue* weight = item.Find("w");
-    if (mean == nullptr || mean->kind() != util::JsonValue::Kind::kNumber ||
-        weight == nullptr ||
-        weight->kind() != util::JsonValue::Kind::kNumber) {
-      return util::Status::InvalidArgument(
-          "tdigest centroid missing numeric \"m\"/\"w\"");
-    }
-    if (!std::isfinite(mean->number()) || !(weight->number() > 0.0)) {
-      return util::Status::ValidationError(
-          "tdigest centroid with non-finite mean or non-positive weight");
-    }
-    digest.centroids_.push_back({mean->number(), weight->number()});
-  }
-  if (!std::is_sorted(digest.centroids_.begin(), digest.centroids_.end(),
-                      CentroidLess)) {
-    return util::Status::ValidationError(
-        "tdigest centroids not sorted by (mean, weight)");
-  }
-  *out = std::move(digest);
-  return util::Status::Ok();
 }
 
 }  // namespace crowdtruth::obs

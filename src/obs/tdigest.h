@@ -1,24 +1,16 @@
-// TDigest: a mergeable, bounded-memory quantile sketch (Dunning's merging
-// t-digest) for the latency series whose fixed log-scale histogram buckets
-// only resolve quantiles to bucket granularity.
+// TDigest: a bounded-memory quantile sketch (Dunning's merging t-digest)
+// for latency series: the engine's per-answer Observe cost (EngineStats)
+// and every summary family in the metric registry (obs::Digest).
 //
 // Memory is O(compression) centroids regardless of sample count; accuracy
 // concentrates at the tails (relative rank error shrinks toward q=0 and
 // q=1), which is exactly where the adaptive controller steers — p99, not
-// the mean.
+// the mean. count() and sum() are exact, so the same sketch also yields
+// the exact mean.
 //
-// Determinism contract (pinned by tests/obs_tdigest_test.cc, mirroring the
-// WorkerSummary merge contract): compression sorts the combined centroid
-// multiset by (mean, weight) before clustering, so
-//
-//   * Merge is exactly order-independent — a.Merge(b) and b.Merge(a)
-//     produce bit-identical centroid lists, and
-//   * an N-way merge in shard order equals the same merge in any other
-//     order once the inputs are the same multiset of centroids,
-//
-// and ToJson/FromJson round-trip through %.17g, so a digest serialized at
-// a shard barrier and merged on the coordinator is the digest that was
-// sent.
+// Compaction sorts the buffered centroids by (mean, weight) and clusters
+// them in a fixed evaluation order, so the same sequence of samples always
+// produces bit-identical centroids and quantiles.
 //
 // Not thread-safe; the registry wraps one TDigest per metric child behind
 // a mutex (see obs::Digest in obs/metrics.h).
@@ -27,9 +19,6 @@
 
 #include <cstdint>
 #include <vector>
-
-#include "util/json_writer.h"
-#include "util/status.h"
 
 namespace crowdtruth::obs {
 
@@ -48,14 +37,7 @@ class TDigest {
   // Adds one sample. Non-finite values are dropped (counted in neither
   // count() nor sum()) so one NaN cannot poison the sketch — matching
   // Histogram::Observe's containment policy.
-  void Add(double value, double weight = 1.0);
-
-  // Folds `other` into this digest. Deterministically order-independent:
-  // compaction is deferred until the next read, so a chain of merges feeds
-  // one sorted multiset into a single compaction no matter the merge
-  // order (see the header comment). Reading between merges forfeits that
-  // exactness for the remaining chain.
-  void Merge(const TDigest& other);
+  void Add(double value);
 
   // Interpolated value at quantile q in [0, 1]; 0.0 on an empty digest.
   double Quantile(double q) const;
@@ -69,12 +51,6 @@ class TDigest {
 
   // Compacted centroid list, sorted by (mean, weight).
   const std::vector<TDigestCentroid>& Centroids() const;
-
-  // {"format": "crowdtruth_tdigest", "version": 1, "compression": ...,
-  //  "count": ..., "sum": ..., "min": ..., "max": ...,
-  //  "centroids": [{"m": ..., "w": ...}, ...]}
-  util::JsonValue ToJson() const;
-  static util::Status FromJson(const util::JsonValue& doc, TDigest* out);
 
  private:
   // Folds buffer_ into centroids_ via the deterministic sorted compaction.

@@ -116,19 +116,26 @@ TenantSignals AdaptiveController::Sample(const Tenant& tenant,
   if (registry_ == nullptr) return signals;
   // The engines publish {method, tenant}-labeled series; match on the
   // tenant label (index 1) — one engine per tenant, so the first match is
-  // the tenant's series.
-  if (obs::Family<obs::Histogram>* family = registry_->FindHistogramFamily(
+  // the tenant's series. One snapshot of the Observe-latency summary gives
+  // both signals: the interval mean from its count/sum deltas since the
+  // last tick, and the tail quantiles (cumulative over the tenant's life).
+  if (obs::Family<obs::Digest>* family = registry_->FindDigestFamily(
           "crowdtruth_stream_observe_latency_seconds")) {
-    for (const auto& [labels, histogram] : family->Children()) {
+    for (const auto& [labels, digest] : family->Children()) {
       if (labels.size() < 2 || labels[1] != tenant.name()) continue;
-      const obs::Histogram::Snapshot snap = histogram->Snap();
-      const int64_t count = snap.count - state->last_latency_count;
-      const double sum = snap.sum - state->last_latency_sum;
-      state->last_latency_count = snap.count;
-      state->last_latency_sum = snap.sum;
+      const obs::TDigest snap = digest->Snap();
+      const int64_t count = snap.count() - state->last_latency_count;
+      const double sum = snap.sum() - state->last_latency_sum;
+      state->last_latency_count = snap.count();
+      state->last_latency_sum = snap.sum();
       if (count > 0) {
         signals.mean_observe_latency_seconds =
             sum / static_cast<double>(count);
+      }
+      if (snap.count() > 0) {
+        signals.p50_observe_latency_seconds = snap.Quantile(0.5);
+        signals.p90_observe_latency_seconds = snap.Quantile(0.9);
+        signals.p99_observe_latency_seconds = snap.Quantile(0.99);
       }
       break;
     }
@@ -138,22 +145,6 @@ TenantSignals AdaptiveController::Sample(const Tenant& tenant,
     for (const auto& [labels, gauge] : family->Children()) {
       if (labels.size() < 2 || labels[1] != tenant.name()) continue;
       signals.backlog_tasks = static_cast<int64_t>(gauge->Value());
-      break;
-    }
-  }
-  // True tail quantiles from the engine's t-digest twin of the latency
-  // histogram; histogram bucket interpolation is too coarse for a p99
-  // budget measured in hundreds of microseconds.
-  if (obs::Family<obs::Digest>* family = registry_->FindDigestFamily(
-          "crowdtruth_stream_observe_latency_digest_seconds")) {
-    for (const auto& [labels, digest] : family->Children()) {
-      if (labels.size() < 2 || labels[1] != tenant.name()) continue;
-      const obs::TDigest snap = digest->Snap();
-      if (snap.count() > 0) {
-        signals.p50_observe_latency_seconds = snap.Quantile(0.5);
-        signals.p90_observe_latency_seconds = snap.Quantile(0.9);
-        signals.p99_observe_latency_seconds = snap.Quantile(0.99);
-      }
       break;
     }
   }

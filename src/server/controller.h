@@ -1,10 +1,11 @@
 // Adaptive admission control and live engine retuning.
 //
 // The controller closes a feedback loop over the metric registry: every
-// control interval it reads each tenant's Observe-latency histogram and
-// backlog gauge (the same series a Prometheus scraper sees on /metrics —
-// the control signal IS the observability signal, so operators can replay
-// every decision from a scrape), then
+// control interval it reads each tenant's Observe-latency summary (one
+// t-digest: its _sum/_count deltas give the interval mean, its quantiles
+// the tail) and backlog gauge (the same series a Prometheus scraper sees
+// on /metrics — the control signal IS the observability signal, so
+// operators can replay every decision from a scrape), then
 //
 //   * admission (throughput probing) — each tenant gets a ticket budget of
 //     answers per interval. While the interval's mean observe latency stays
@@ -126,7 +127,8 @@ class AdaptiveController {
     int64_t tickets = 0;
     int baseline_resync_interval = 0;
     int baseline_max_dirty_tasks = 0;
-    // Histogram position at the previous tick, for interval deltas.
+    // Latency summary count/sum at the previous tick, for interval
+    // deltas.
     double last_latency_sum = 0.0;
     int64_t last_latency_count = 0;
   };

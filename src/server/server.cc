@@ -7,7 +7,6 @@
 #include "obs/span.h"
 #include "obs/trace_export.h"
 #include "util/json_writer.h"
-#include "util/stopwatch.h"
 
 namespace crowdtruth::server {
 
@@ -361,7 +360,6 @@ HttpResponse StreamingServer::Handle(const HttpRequest& request) {
     span.Annotate("path", request.path);
     span.Annotate("http_method", request.method);
   }
-  util::Stopwatch stopwatch;
   HttpResponse response;
   const bool observability =
       request.path == "/healthz" || request.path == "/metrics" ||
@@ -400,7 +398,7 @@ HttpResponse StreamingServer::Handle(const HttpRequest& request) {
         JsonErrorResponse(404, "NotFound", "no route for " + request.path);
   }
   CountRequest(response.status);
-  ObserveRequest(route, stopwatch.ElapsedSeconds());
+  ObserveRequest(route, span.ElapsedSeconds());
   if (span.armed()) span.Annotate("status", int64_t{response.status});
   return response;
 }

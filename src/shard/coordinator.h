@@ -59,7 +59,6 @@
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/status.h"
-#include "util/stopwatch.h"
 
 namespace crowdtruth::shard {
 
@@ -172,7 +171,6 @@ class ShardCoordinator {
     std::vector<streaming::WorkerSummary> summaries(shards);
     std::vector<double> summary_bytes(shards, 0.0);
     std::vector<double> done_seconds(shards, 0.0);
-    util::Stopwatch total;
     util::ParallelForSlotted(
         shards, std::min(shards, util::DefaultThreads()),
         [&](int s, int /*slot*/) {
@@ -182,9 +180,9 @@ class ShardCoordinator {
             summary_bytes[s] =
                 static_cast<double>(summaries[s].ToJson().Dump().size());
           }
-          done_seconds[s] = total.ElapsedSeconds();
+          done_seconds[s] = span.ElapsedSeconds();
         });
-    const double all_done = total.ElapsedSeconds();
+    const double all_done = span.ElapsedSeconds();
     for (int s = 0; s < shards; ++s) {
       if (ShardMetricSet* m = Metrics(s)) {
         m->summary_bytes->Increment(summary_bytes[s]);

@@ -37,7 +37,6 @@
 #include "util/json_writer.h"
 #include "util/logging.h"
 #include "util/status.h"
-#include "util/stopwatch.h"
 
 namespace crowdtruth::streaming {
 
@@ -171,20 +170,18 @@ class StreamEngine {
   util::Status Observe(const std::string& task, const std::string& worker,
                        Payload payload) {
     obs::Span span("engine_observe");
-    util::Stopwatch stopwatch;
     typename Method::Answer answer;
     answer.task = tasks_.Intern(task);
     answer.worker = workers_.Intern(worker);
     internal_engine::SetPayload(answer, payload);
     util::Status status = method_->Observe(answer);
     if (!status.ok()) return status;
-    const double seconds = stopwatch.ElapsedSeconds();
+    const double seconds = span.ElapsedSeconds();
     stats_.observe_latency.Add(seconds);
     ++stats_.answers;
     if (EngineMetricSet* m = Metrics()) {
       m->answers->Increment();
       m->observe_latency->Observe(seconds);
-      m->observe_latency_digest->Observe(seconds);
       m->sweep_depth->Observe(method_->last_observe_swept());
       m->backlog->Set(static_cast<double>(method_->backlog_size()));
     }
@@ -205,54 +202,21 @@ class StreamEngine {
   // running this resync on a pool worker), else under this thread's span.
   BatchResult Resync(const obs::SpanContext& parent = obs::SpanContext()) {
     obs::Span span("engine_resync", parent);
-    const auto before = method_->Estimates();
-    util::Stopwatch stopwatch;
-    BatchResult result = method_->Resync();
-    const double seconds = stopwatch.ElapsedSeconds();
-    stats_.resync_seconds += seconds;
-    ++stats_.resyncs;
-    if (EngineMetricSet* m = Metrics()) {
-      m->resyncs->Increment();
-      m->resync_seconds->Increment(seconds);
-      m->resync_duration->Observe(seconds);
-      m->resync_duration_digest->Observe(seconds);
-      m->backlog->Set(static_cast<double>(method_->backlog_size()));
-    }
+    BatchResult result;
+    CountResync(span, [&] { result = method_->Resync(); });
     if (span.armed()) {
       span.Annotate("method", method_->name());
       span.Annotate("resync_index", static_cast<int64_t>(stats_.resyncs));
     }
-    if (trace_ != nullptr) {
-      core::IterationEvent event;
-      event.iteration = stats_.resyncs;
-      event.delta =
-          internal_engine::EstimateDelta(before, method_->Estimates());
-      event.truth_seconds =
-          stats_.observe_latency.sum() - observe_seconds_traced_;
-      event.quality_seconds = seconds;
-      trace_->OnIteration(event);
-    }
-    observe_seconds_traced_ = stats_.observe_latency.sum();
     return result;
   }
 
   // Adopts an externally computed batch solution (a shard coordinator's
   // global resync) exactly like Resync() adopts its own; counts as a resync
-  // in stats and metrics.
+  // in stats, metrics and the trace.
   void AdoptResult(const BatchResult& result) {
     obs::Span span("engine_adopt_result");
-    util::Stopwatch stopwatch;
-    method_->AdoptResult(result);
-    const double seconds = stopwatch.ElapsedSeconds();
-    stats_.resync_seconds += seconds;
-    ++stats_.resyncs;
-    if (EngineMetricSet* m = Metrics()) {
-      m->resyncs->Increment();
-      m->resync_seconds->Increment(seconds);
-      m->resync_duration->Observe(seconds);
-      m->resync_duration_digest->Observe(seconds);
-      m->backlog->Set(static_cast<double>(method_->backlog_size()));
-    }
+    CountResync(span, [&] { method_->AdoptResult(result); });
   }
 
   // --- Cross-shard summary exchange ---
@@ -430,21 +394,47 @@ class StreamEngine {
   // Cached children of the process-wide stream metric families, labeled by
   // the wrapped method's name and the owning tenant ("" outside the
   // server). Resolved once per installed registry so the per-answer cost is
-  // a relaxed pointer load plus atomic bumps.
+  // a relaxed pointer load, atomic bumps and one digest add. Each latency
+  // is one t-digest summary: its _sum/_count give the mean the adaptive
+  // controller probes on, its quantiles the tail it vetoes on.
   struct EngineMetricSet {
     obs::Counter* answers = nullptr;
-    obs::Histogram* observe_latency = nullptr;
+    obs::Digest* observe_latency = nullptr;
     obs::Histogram* sweep_depth = nullptr;
     obs::Gauge* backlog = nullptr;
     obs::Counter* resyncs = nullptr;
-    obs::Counter* resync_seconds = nullptr;
-    obs::Histogram* resync_duration = nullptr;
-    // T-digest twins of the latency histograms: true (approximate)
-    // quantiles for the adaptive controller's p99-aware retuning, where
-    // bucket interpolation is too coarse.
-    obs::Digest* observe_latency_digest = nullptr;
-    obs::Digest* resync_duration_digest = nullptr;
+    obs::Digest* resync_duration = nullptr;
   };
+
+  // Runs `adopt` (which replaces the method's state with a batch solution)
+  // timed by `span`, then books it as one resync: stats, metrics and, with
+  // a trace sink set, the resync's IterationEvent. Only a traced resync
+  // copies the estimates beforehand, for the event's delta.
+  template <typename Adopt>
+  void CountResync(const obs::Span& span, Adopt&& adopt) {
+    decltype(method_->Estimates()) before;
+    if (trace_ != nullptr) before = method_->Estimates();
+    adopt();
+    const double seconds = span.ElapsedSeconds();
+    stats_.resync_seconds += seconds;
+    ++stats_.resyncs;
+    if (EngineMetricSet* m = Metrics()) {
+      m->resyncs->Increment();
+      m->resync_duration->Observe(seconds);
+      m->backlog->Set(static_cast<double>(method_->backlog_size()));
+    }
+    if (trace_ != nullptr) {
+      core::IterationEvent event;
+      event.iteration = stats_.resyncs;
+      event.delta =
+          internal_engine::EstimateDelta(before, method_->Estimates());
+      event.truth_seconds =
+          stats_.observe_latency.sum() - observe_seconds_traced_;
+      event.quality_seconds = seconds;
+      trace_->OnIteration(event);
+    }
+    observe_seconds_traced_ = stats_.observe_latency.sum();
+  }
 
   EngineMetricSet* Metrics() {
     obs::MetricRegistry* const registry = obs::ProcessMetrics();
@@ -461,11 +451,11 @@ class StreamEngine {
                .WithLabels(label);
       metric_set_.observe_latency =
           &registry
-               ->AddHistogramFamily(
+               ->AddDigestFamily(
                    "crowdtruth_stream_observe_latency_seconds",
                    "Per-answer Observe cost (interning + incremental "
                    "update).",
-                   names, obs::HistogramBuckets::LatencySeconds())
+                   names, obs::DigestOptions())
                .WithLabels(label);
       metric_set_.sweep_depth =
           &registry
@@ -488,31 +478,11 @@ class StreamEngine {
                                   "Full batch resyncs run by the engine.",
                                   names)
                .WithLabels(label);
-      metric_set_.resync_seconds =
-          &registry
-               ->AddCounterFamily(
-                   "crowdtruth_stream_resync_seconds_total",
-                   "Total wall-clock spent inside resyncs.", names)
-               .WithLabels(label);
       metric_set_.resync_duration =
           &registry
-               ->AddHistogramFamily(
+               ->AddDigestFamily(
                    "crowdtruth_stream_resync_duration_seconds",
                    "Wall-clock cost of individual resyncs.", names,
-                   obs::HistogramBuckets::LatencySeconds())
-               .WithLabels(label);
-      metric_set_.observe_latency_digest =
-          &registry
-               ->AddDigestFamily(
-                   "crowdtruth_stream_observe_latency_digest_seconds",
-                   "T-digest sketch of per-answer Observe cost.", names,
-                   obs::DigestOptions())
-               .WithLabels(label);
-      metric_set_.resync_duration_digest =
-          &registry
-               ->AddDigestFamily(
-                   "crowdtruth_stream_resync_duration_digest_seconds",
-                   "T-digest sketch of individual resync cost.", names,
                    obs::DigestOptions())
                .WithLabels(label);
       metrics_registry_ = registry;

@@ -330,12 +330,13 @@ TEST_F(ControllerIntegrationTest, DigestTailDrivesRetuneAndQuantileGauges) {
   controller.Tick({tenant_.get()});  // seeds baselines
   const int before = tenant_->resync_interval();
 
-  // Poison the tenant's observe-latency digest with stalls far past the
-  // 5 x 0.5s tail budget; the mean series stays untouched, so only the
-  // digest can explain a retune.
+  // Poison the tenant's observe-latency summary with stalls far past the
+  // 5 x 0.5s tail budget. The same summary also drives the mean, which
+  // reads a regression too, but only the tail pressure can explain a
+  // retune: the backlog gauge stays at zero.
   obs::Digest& digest =
       registry_
-          .AddDigestFamily("crowdtruth_stream_observe_latency_digest_seconds",
+          .AddDigestFamily("crowdtruth_stream_observe_latency_seconds",
                            "", {"method", "tenant"}, obs::DigestOptions())
           .WithLabels({"MV", "t0"});
   for (int i = 0; i < 200; ++i) digest.Observe(10.0);

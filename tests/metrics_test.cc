@@ -310,7 +310,6 @@ TEST(MetricRegistryTest, FamilyLookupByNameAndKind) {
   EXPECT_NE(registry.FindGaugeFamily("test_lookup_depth"), nullptr);
   // Wrong kind and unknown names both miss.
   EXPECT_EQ(registry.FindGaugeFamily("test_lookup_total"), nullptr);
-  EXPECT_EQ(registry.FindHistogramFamily("test_lookup_total"), nullptr);
   EXPECT_EQ(registry.FindCounterFamily("test_absent"), nullptr);
   EXPECT_EQ(registry.FindDigestFamily("test_lookup_total"), nullptr);
 }
@@ -338,7 +337,7 @@ TEST(MetricRegistryTest, DigestPrometheusSummaryExposition) {
   EXPECT_NEAR(snap.Quantile(0.5), 0.050, 0.005);
 }
 
-TEST(MetricRegistryTest, DigestFamilyChildrenAndMerge) {
+TEST(MetricRegistryTest, DigestFamilyChildrenAndLookup) {
   MetricRegistry registry;
   Family<Digest>& family = registry.AddDigestFamily(
       "test_digest_family_seconds", "Help.", {"shard"}, DigestOptions());
@@ -346,12 +345,11 @@ TEST(MetricRegistryTest, DigestFamilyChildrenAndMerge) {
             &family);
   family.WithLabels({"0"}).Observe(1.0);
   family.WithLabels({"1"}).Observe(2.0);
-  // Cross-shard fold: the coordinator-side digest absorbs a shard's.
-  Digest& folded = family.WithLabels({"all"});
-  folded.MergeFrom(family.WithLabels({"0"}).Snap());
-  folded.MergeFrom(family.WithLabels({"1"}).Snap());
-  EXPECT_EQ(folded.Snap().count(), 2);
-  EXPECT_DOUBLE_EQ(folded.Snap().sum(), 3.0);
+  family.WithLabels({"1"}).Observe(4.0);
+  EXPECT_EQ(family.WithLabels({"0"}).Snap().count(), 1);
+  EXPECT_EQ(family.WithLabels({"1"}).Snap().count(), 2);
+  EXPECT_DOUBLE_EQ(family.WithLabels({"1"}).Snap().sum(), 6.0);
+  EXPECT_EQ(family.Children().size(), 2u);
 }
 
 TEST(MetricRegistryTest, DigestJsonExposition) {

@@ -19,6 +19,7 @@
 #include "obs/trace_export.h"
 #include "shard/coordinator.h"
 #include "util/json_writer.h"
+#include "util/stopwatch.h"
 
 namespace crowdtruth::obs {
 namespace {
@@ -52,6 +53,47 @@ TEST(SpanTest, DisarmedWithoutRecorder) {
   EXPECT_FALSE(span.armed());
   EXPECT_EQ(span.context().span_id, 0u);
   span.Annotate("key", std::string("value"));  // must be a no-op, not a crash
+}
+
+// Every span is its event's clock, armed or not: ElapsedSeconds starts at
+// the span's opening (bounded by a stopwatch started just before it) and
+// never runs backwards.
+TEST(SpanTest, DisarmedSpanStillTimesItsEvent) {
+  ASSERT_EQ(ProcessFlightRecorder(), nullptr);
+  const util::Stopwatch outer;
+  Span span("clock");
+  double last = span.ElapsedSeconds();
+  EXPECT_GE(last, 0.0);
+  for (int i = 0; i < 1000; ++i) {
+    const double now = span.ElapsedSeconds();
+    EXPECT_GE(now, last);
+    last = now;
+  }
+  EXPECT_LE(last, outer.ElapsedSeconds());
+}
+
+// An armed span's recorded duration is the same clock: it is at least any
+// elapsed time read inside the span, and no longer than the span's scope.
+TEST(SpanTest, ArmedDurationBoundsElapsedReadings) {
+  ScopedRecorder recorder;
+  const util::Stopwatch outer;
+  double inner = 0.0;
+  {
+    Span span("timed");
+    ASSERT_TRUE(span.armed());
+    inner = span.ElapsedSeconds();
+    EXPECT_GE(inner, 0.0);
+    while (span.ElapsedSeconds() <= inner) {
+    }
+    const double later = span.ElapsedSeconds();
+    EXPECT_GT(later, inner);
+    inner = later;
+  }
+  const double scope = outer.ElapsedSeconds();
+  const std::vector<SpanRecord> spans = recorder.get()->Dump();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_GE(spans[0].duration_seconds, inner);
+  EXPECT_LE(spans[0].duration_seconds, scope);
 }
 
 TEST(SpanTest, RecordsOnDestruction) {

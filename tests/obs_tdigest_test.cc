@@ -1,6 +1,5 @@
-// Tests for the merging t-digest (obs/tdigest.h): quantile accuracy
-// against exact order statistics, the deterministic merge contract
-// (order-independent, shard-order-stable), and JSON round-tripping.
+// Tests for the t-digest (obs/tdigest.h): quantile accuracy against exact
+// order statistics, non-finite containment and bounded memory.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -24,18 +23,6 @@ double ExactQuantile(std::vector<double> values, double q) {
   const size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return values[lo] + frac * (values[hi] - values[lo]);
-}
-
-// Bitwise comparison of centroid lists: the determinism contract is
-// "identical doubles", not "close".
-void ExpectIdenticalCentroids(const TDigest& a, const TDigest& b) {
-  const auto& ca = a.Centroids();
-  const auto& cb = b.Centroids();
-  ASSERT_EQ(ca.size(), cb.size());
-  for (size_t i = 0; i < ca.size(); ++i) {
-    EXPECT_EQ(ca[i].mean, cb[i].mean) << "centroid " << i;
-    EXPECT_EQ(ca[i].weight, cb[i].weight) << "centroid " << i;
-  }
 }
 
 TEST(TDigestTest, EmptyDigestIsZero) {
@@ -126,114 +113,6 @@ TEST(TDigestTest, QuantilesAreMonotone) {
     EXPECT_GE(value, last) << "q=" << q;
     last = value;
   }
-}
-
-TEST(TDigestTest, MergeIsOrderIndependent) {
-  util::Rng rng(23);
-  TDigest a(100.0);
-  TDigest b(100.0);
-  for (int i = 0; i < 3000; ++i) a.Add(rng.Uniform() * 10.0);
-  for (int i = 0; i < 1700; ++i) b.Add(std::exp(rng.Normal(0.0, 1.0)));
-
-  TDigest ab(100.0);
-  ab.Merge(a);
-  ab.Merge(b);
-  TDigest ba(100.0);
-  ba.Merge(b);
-  ba.Merge(a);
-
-  EXPECT_EQ(ab.count(), ba.count());
-  EXPECT_EQ(ab.sum(), ba.sum());
-  ExpectIdenticalCentroids(ab, ba);
-  EXPECT_EQ(ab.Quantile(0.99), ba.Quantile(0.99));
-}
-
-TEST(TDigestTest, ShardOrderStableNWayMerge) {
-  // Eight per-shard digests merged in shard order vs reverse vs pairwise
-  // tree: the coordinator's all-reduce must not depend on arrival order.
-  constexpr int kShards = 8;
-  std::vector<TDigest> shards;
-  util::Rng rng(99);
-  for (int s = 0; s < kShards; ++s) {
-    shards.emplace_back(100.0);
-    const int n = 500 + 37 * s;
-    for (int i = 0; i < n; ++i) {
-      shards.back().Add(std::exp(rng.Normal(0.0, 1.0) * 0.7) + s * 0.01);
-    }
-  }
-
-  TDigest forward(100.0);
-  for (int s = 0; s < kShards; ++s) forward.Merge(shards[s]);
-  TDigest reverse(100.0);
-  for (int s = kShards - 1; s >= 0; --s) reverse.Merge(shards[s]);
-
-  EXPECT_EQ(forward.count(), reverse.count());
-  ExpectIdenticalCentroids(forward, reverse);
-}
-
-TEST(TDigestTest, MergeMatchesCountsAndSum) {
-  TDigest a;
-  TDigest b;
-  for (int i = 0; i < 100; ++i) a.Add(static_cast<double>(i));
-  for (int i = 100; i < 250; ++i) b.Add(static_cast<double>(i));
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 250);
-  EXPECT_DOUBLE_EQ(a.sum(), 249.0 * 250.0 / 2.0);
-  EXPECT_DOUBLE_EQ(a.min(), 0.0);
-  EXPECT_DOUBLE_EQ(a.max(), 249.0);
-}
-
-TEST(TDigestTest, JsonRoundTripIsExact) {
-  util::Rng rng(5);
-  TDigest digest(64.0);
-  for (int i = 0; i < 4000; ++i) digest.Add(std::exp(rng.Normal(0.0, 1.0)));
-
-  TDigest restored;
-  ASSERT_TRUE(TDigest::FromJson(digest.ToJson(), &restored).ok());
-  EXPECT_EQ(restored.count(), digest.count());
-  EXPECT_EQ(restored.sum(), digest.sum());
-  EXPECT_EQ(restored.min(), digest.min());
-  EXPECT_EQ(restored.max(), digest.max());
-  EXPECT_EQ(restored.compression(), digest.compression());
-  ExpectIdenticalCentroids(digest, restored);
-  EXPECT_EQ(restored.Quantile(0.99), digest.Quantile(0.99));
-}
-
-TEST(TDigestTest, SerializedMergeEqualsLocalMerge) {
-  // The shard-barrier path: a digest serialized on a shard and restored on
-  // the coordinator must merge exactly like the in-process original.
-  util::Rng rng(17);
-  TDigest local(100.0);
-  TDigest remote(100.0);
-  for (int i = 0; i < 2000; ++i) local.Add(rng.Uniform());
-  for (int i = 0; i < 2000; ++i) remote.Add(rng.Uniform() * 2.0);
-
-  TDigest via_wire(100.0);
-  via_wire.Merge(local);
-  TDigest restored;
-  ASSERT_TRUE(TDigest::FromJson(remote.ToJson(), &restored).ok());
-  via_wire.Merge(restored);
-
-  TDigest direct(100.0);
-  direct.Merge(local);
-  direct.Merge(remote);
-  ExpectIdenticalCentroids(via_wire, direct);
-}
-
-TEST(TDigestTest, FromJsonRejectsMalformedDocs) {
-  TDigest out;
-  util::JsonValue not_object = util::JsonValue::Array();
-  EXPECT_FALSE(TDigest::FromJson(not_object, &out).ok());
-
-  util::JsonValue wrong_format = util::JsonValue::Object();
-  wrong_format.Set("format", "something_else");
-  EXPECT_FALSE(TDigest::FromJson(wrong_format, &out).ok());
-
-  TDigest digest;
-  digest.Add(1.0);
-  util::JsonValue doc = digest.ToJson();
-  doc.Set("version", 999);
-  EXPECT_FALSE(TDigest::FromJson(doc, &out).ok());
 }
 
 TEST(TDigestTest, BoundedMemoryUnderLongStreams) {

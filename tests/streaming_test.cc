@@ -2,6 +2,8 @@
 // a final resync matches the batch solver bit-for-bit), snapshot round
 // trips, engine plumbing (interning, periodic resyncs, duplicate rejection)
 // and the incremental registry.
+#include <cmath>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "core/registry.h"
+#include "core/trace.h"
+#include "obs/metrics.h"
 #include "simulation/profiles.h"
 #include "streaming/engine.h"
 #include "streaming/incremental.h"
@@ -238,6 +242,101 @@ TEST(StreamEngineTest, ObserveLatencyStateStaysBounded) {
   EXPECT_EQ(latency.count(), 100000);
   EXPECT_GT(latency.max(), 0.0);
   EXPECT_LE(latency.Quantile(0.5), latency.max());
+}
+
+// Value of the exposition line for exactly `series` (name plus label set);
+// NaN when the line is absent.
+double SampleValue(const std::string& text, const std::string& series) {
+  const std::string prefix = "\n" + series + " ";
+  const size_t at = text.find(prefix);
+  if (at == std::string::npos) return std::nan("");
+  return std::strtod(text.c_str() + at + prefix.size(), nullptr);
+}
+
+// Each engine latency is exported as one t-digest summary, fed by the same
+// clock reading as EngineStats; no histogram or digest twin sits beside it.
+TEST(StreamEngineTest, EachLatencyIsOneSummarySeries) {
+  obs::MetricRegistry registry;
+  obs::InstallProcessMetrics(&registry);
+  EngineConfig config;
+  config.resync_interval = 10;
+  CategoricalStreamEngine engine(MakeIncrementalCategorical("ZC", 2, {}),
+                                 config);
+  for (int i = 0; i < 35; ++i) {
+    EXPECT_TRUE(engine
+                    .Observe("t" + std::to_string(i % 7),
+                             "w" + std::to_string(i / 7), i % 2)
+                    .ok());
+  }
+  // Three periodic resyncs, one explicit, one adopted result.
+  engine.AdoptResult(engine.Resync());
+  const std::string text = registry.PrometheusText();
+  obs::InstallProcessMetrics(nullptr);
+  ASSERT_EQ(engine.stats().resyncs, 5);
+  const std::string labels = "{method=\"ZC\",tenant=\"\"}";
+
+  for (const char* family : {"crowdtruth_stream_observe_latency_seconds",
+                             "crowdtruth_stream_resync_duration_seconds"}) {
+    EXPECT_NE(text.find(std::string("# TYPE ") + family + " summary\n"),
+              std::string::npos)
+        << family;
+    EXPECT_EQ(text.find(std::string(family) + "_bucket"), std::string::npos)
+        << family;
+  }
+  EXPECT_EQ(text.find("_digest_seconds"), std::string::npos);
+  EXPECT_EQ(text.find("crowdtruth_stream_resync_seconds_total"),
+            std::string::npos);
+
+  const double observes = SampleValue(
+      text, "crowdtruth_stream_observe_latency_seconds_count" + labels);
+  EXPECT_EQ(observes, 35.0);
+  EXPECT_EQ(observes,
+            SampleValue(text, "crowdtruth_stream_answers_total" + labels));
+  EXPECT_EQ(SampleValue(text,
+                        "crowdtruth_stream_observe_latency_seconds_sum" +
+                            labels),
+            engine.stats().observe_latency.sum());
+
+  const double resyncs = SampleValue(
+      text, "crowdtruth_stream_resync_duration_seconds_count" + labels);
+  EXPECT_EQ(resyncs, 5.0);
+  EXPECT_EQ(resyncs,
+            SampleValue(text, "crowdtruth_stream_resyncs_total" + labels));
+  EXPECT_EQ(
+      SampleValue(text,
+                  "crowdtruth_stream_resync_duration_seconds_sum" + labels),
+      engine.stats().resync_seconds);
+}
+
+// A trace sink sees one event per resync, adopted results included. The
+// pre-resync estimates are copied only for that event's delta.
+TEST(StreamEngineTest, TracedResyncsEmitOneEventEach) {
+  core::CollectingTraceSink trace;
+  EngineConfig config;
+  config.resync_interval = 10;
+  CategoricalStreamEngine engine(MakeIncrementalCategorical("MV", 2, {}),
+                                 config);
+  engine.set_trace(&trace);
+  for (int i = 0; i < 25; ++i) {
+    ASSERT_TRUE(engine
+                    .Observe("t" + std::to_string(i % 5),
+                             "w" + std::to_string(i / 5), (i / 3) % 2)
+                    .ok());
+  }
+  engine.AdoptResult(engine.Resync());
+  const std::vector<core::IterationEvent>& events = trace.events();
+  ASSERT_EQ(events.size(), 4u);
+  double truth_seconds = 0.0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].iteration, static_cast<int>(i) + 1);
+    EXPECT_GE(events[i].delta, 0.0);
+    EXPECT_LE(events[i].delta, 1.0);
+    EXPECT_GE(events[i].quality_seconds, 0.0);
+    truth_seconds += events[i].truth_seconds;
+  }
+  // Adopting the result the resync just produced flips no label.
+  EXPECT_EQ(events.back().delta, 0.0);
+  EXPECT_DOUBLE_EQ(truth_seconds, engine.stats().observe_latency.sum());
 }
 
 TEST(StreamEngineTest, RejectsDuplicateAnswerLeavingStateUntouched) {

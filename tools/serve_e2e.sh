@@ -45,17 +45,25 @@ fail() { echo "FAIL: $*" >&2; exit 1; }
 mkdir -p "$WORK/data"
 
 # Two deterministic, distinct workloads (worker,task,label; labels in
-# {0,1,2}; no duplicate (worker,task) pairs).
-awk 'BEGIN { s = 7;
-  for (w = 0; w < 10; ++w) for (t = 0; t < 25; ++t) {
-    s = (s * 1103515245 + 12345) % 2147483648;
-    if (s % 4 != 0) printf "w%d,t%d,%d\n", w, t, s % 3;
-  } }' > "$WORK/alpha.csv"
-awk 'BEGIN { s = 99;
-  for (w = 0; w < 8; ++w) for (t = 0; t < 20; ++t) {
-    s = (s * 1103515245 + 12345) % 2147483648;
-    if (s % 3 != 0) printf "w%d,t%d,%d\n", w, t, s % 3;
-  } }' > "$WORK/beta.csv"
+# {0,1,2}; no duplicate (worker,task) pairs), from an LCG in exact integer
+# arithmetic (awk implementations that compute in doubles lose the product
+# past 2^53). alpha's 187 rows cross --resync_interval=100 during ingest,
+# so assertion 1 also covers a periodic resync.
+python3 - "$WORK" <<'PYEOF'
+import sys
+
+def generate(path, seed, workers, tasks, keep_mod):
+    s = seed
+    with open(path, "w", encoding="utf-8") as out:
+        for w in range(workers):
+            for t in range(tasks):
+                s = (s * 1103515245 + 12345) % 2147483648
+                if s % keep_mod != 0:
+                    out.write(f"w{w},t{t},{s % 3}\n")
+
+generate(sys.argv[1] + "/alpha.csv", 7, 10, 25, 4)
+generate(sys.argv[1] + "/beta.csv", 99, 8, 20, 3)
+PYEOF
 
 # A generous latency target so the controller's first decision is
 # deterministically "probe up" — the gauge moving off --initial_tickets is
@@ -160,7 +168,7 @@ python3 tools/check_metrics_exposition.py "$WORK/scrape.prom" \
               crowdtruth_server_observe_latency_quantile_seconds \
               crowdtruth_stream_answers_total \
               crowdtruth_stream_observe_latency_seconds \
-              crowdtruth_stream_observe_latency_digest_seconds
+              crowdtruth_stream_resync_duration_seconds
 
 # Assertion 4: the controller probed the admission budget off its seed.
 tickets=$(awk '/^crowdtruth_server_admission_tickets\{tenant="alpha"\}/ \
