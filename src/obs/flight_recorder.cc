@@ -36,8 +36,12 @@ void FlightRecorder::Record(SpanRecord&& record) {
   Ring* ring = RingForThisThread();
   record.thread_index = 0;  // assigned during Dump from ring order
   const std::lock_guard<std::mutex> lock(ring->mutex);
-  ring->slots[ring->next] = std::move(record);
-  ring->next = (ring->next + 1) % ring->slots.size();
+  if (ring->slots.size() < ring->capacity) {
+    ring->slots.push_back(std::move(record));
+  } else {
+    ring->slots[ring->next] = std::move(record);
+  }
+  ring->next = (ring->next + 1) % ring->capacity;
   ++ring->written;
 }
 
@@ -52,7 +56,7 @@ std::vector<SpanRecord> FlightRecorder::Dump() const {
   for (size_t r = 0; r < rings.size(); ++r) {
     const Ring* ring = rings[r];
     const std::lock_guard<std::mutex> lock(ring->mutex);
-    const size_t capacity = ring->slots.size();
+    const size_t capacity = ring->capacity;
     const size_t filled = std::min<int64_t>(ring->written, capacity);
     // Oldest-first: the ring wraps at `next`, so the oldest retained slot
     // is `next` once the ring has wrapped, 0 before.
@@ -89,7 +93,7 @@ int64_t FlightRecorder::dropped() const {
   int64_t total = 0;
   for (const auto& ring : rings_) {
     const std::lock_guard<std::mutex> ring_lock(ring->mutex);
-    const int64_t capacity = static_cast<int64_t>(ring->slots.size());
+    const int64_t capacity = static_cast<int64_t>(ring->capacity);
     if (ring->written > capacity) total += ring->written - capacity;
   }
   return total;

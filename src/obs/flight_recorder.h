@@ -73,9 +73,14 @@ class FlightRecorder {
   const FlightRecorderConfig& config() const { return config_; }
 
  private:
+  // Slots are reserved up front but filled on demand, so a thread that
+  // records few spans (the background solver) keeps only those resident.
   struct Ring {
-    explicit Ring(size_t capacity) : slots(capacity) {}
+    explicit Ring(size_t capacity) : capacity(capacity) {
+      slots.reserve(capacity);
+    }
     mutable std::mutex mutex;
+    const size_t capacity;
     std::vector<SpanRecord> slots;
     size_t next = 0;      // ring write position
     int64_t written = 0;  // lifetime records into this ring

@@ -33,12 +33,18 @@ namespace {
 // The innermost open armed span on this thread; new spans link to it
 // unless given an explicit parent.
 thread_local Span::Active* t_current_span = nullptr;
+// Open UnrecordedScopes on this thread.
+thread_local int t_unrecorded_depth = 0;
 }  // namespace
+
+UnrecordedScope::UnrecordedScope() { ++t_unrecorded_depth; }
+UnrecordedScope::~UnrecordedScope() { --t_unrecorded_depth; }
 
 Span::Span(const char* name) : Span(name, SpanContext()) {}
 
 Span::Span(const char* name, const SpanContext& parent) {
-  FlightRecorder* const recorder = ProcessFlightRecorder();
+  FlightRecorder* recorder = ProcessFlightRecorder();
+  if (recorder != nullptr && t_unrecorded_depth > 0) recorder = nullptr;
   if (recorder == nullptr) {
     start_ = SteadyClock::now();
     return;

@@ -92,6 +92,19 @@ class Span {
   std::chrono::steady_clock::time_point start_;
 };
 
+// While one lives, the spans opened on its thread record nothing: they
+// still time their events, like disarmed spans. For work whose span-by-span
+// detail would fill a flight-recorder ring of its own while its enclosing
+// span and the metrics already summarize it — the background solver
+// records one engine_resync_solve span per solve, not its EM iterations.
+class UnrecordedScope {
+ public:
+  UnrecordedScope();
+  UnrecordedScope(const UnrecordedScope&) = delete;
+  UnrecordedScope& operator=(const UnrecordedScope&) = delete;
+  ~UnrecordedScope();
+};
+
 }  // namespace crowdtruth::obs
 
 #endif  // CROWDTRUTH_OBS_SPAN_H_

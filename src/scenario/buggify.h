@@ -28,7 +28,7 @@
 //
 // The planted sites (see docs/scenarios.md for the recovery path each one
 // exercises): answer_log_read, snapshot_restore, checkpoint_write,
-// validator_accept, barrier_wait.
+// validator_accept, barrier_wait, resync_solve_delay.
 #ifndef CROWDTRUTH_SCENARIO_BUGGIFY_H_
 #define CROWDTRUTH_SCENARIO_BUGGIFY_H_
 

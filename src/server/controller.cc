@@ -114,40 +114,30 @@ TenantSignals AdaptiveController::Sample(const Tenant& tenant,
                                          TenantState* state) {
   TenantSignals signals;
   if (registry_ == nullptr) return signals;
-  // The engines publish {method, tenant}-labeled series; match on the
-  // tenant label (index 1) — one engine per tenant, so the first match is
-  // the tenant's series. One snapshot of the Observe-latency summary gives
-  // both signals: the interval mean from its count/sum deltas since the
-  // last tick, and the tail quantiles (cumulative over the tenant's life).
-  if (obs::Family<obs::Digest>* family = registry_->FindDigestFamily(
-          "crowdtruth_stream_observe_latency_seconds")) {
-    for (const auto& [labels, digest] : family->Children()) {
-      if (labels.size() < 2 || labels[1] != tenant.name()) continue;
-      const obs::TDigest snap = digest->Snap();
-      const int64_t count = snap.count() - state->last_latency_count;
-      const double sum = snap.sum() - state->last_latency_sum;
-      state->last_latency_count = snap.count();
-      state->last_latency_sum = snap.sum();
-      if (count > 0) {
-        signals.mean_observe_latency_seconds =
-            sum / static_cast<double>(count);
-      }
-      if (snap.count() > 0) {
-        signals.p50_observe_latency_seconds = snap.Quantile(0.5);
-        signals.p90_observe_latency_seconds = snap.Quantile(0.9);
-        signals.p99_observe_latency_seconds = snap.Quantile(0.99);
-      }
-      break;
-    }
+  // Read the children the tenant's own engine feeds, not a child matched
+  // by tenant name: past the registry's tenant-label cap the engine feeds
+  // the shared tenant="other" children, and the tenant steers on those.
+  // One snapshot of the Observe-latency summary gives both signals: the
+  // interval mean from its count/sum deltas since the last tick, and the
+  // tail quantiles (cumulative over the series' life).
+  const streaming::CategoricalStreamEngine* engine =
+      tenant.SeriesEngine(registry_);
+  if (engine == nullptr) return signals;
+  const obs::TDigest snap = engine->observe_latency_series(registry_)->Snap();
+  const int64_t count = snap.count() - state->last_latency_count;
+  const double sum = snap.sum() - state->last_latency_sum;
+  state->last_latency_count = snap.count();
+  state->last_latency_sum = snap.sum();
+  if (count > 0) {
+    signals.mean_observe_latency_seconds = sum / static_cast<double>(count);
   }
-  if (obs::Family<obs::Gauge>* family =
-          registry_->FindGaugeFamily("crowdtruth_stream_backlog_tasks")) {
-    for (const auto& [labels, gauge] : family->Children()) {
-      if (labels.size() < 2 || labels[1] != tenant.name()) continue;
-      signals.backlog_tasks = static_cast<int64_t>(gauge->Value());
-      break;
-    }
+  if (snap.count() > 0) {
+    signals.p50_observe_latency_seconds = snap.Quantile(0.5);
+    signals.p90_observe_latency_seconds = snap.Quantile(0.9);
+    signals.p99_observe_latency_seconds = snap.Quantile(0.99);
   }
+  signals.backlog_tasks =
+      static_cast<int64_t>(engine->backlog_series(registry_)->Value());
   return signals;
 }
 

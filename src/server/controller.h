@@ -6,6 +6,8 @@
 // the tail) and backlog gauge (the same series a Prometheus scraper sees
 // on /metrics — the control signal IS the observability signal, so
 // operators can replay every decision from a scrape), then
+// (it reads the registry children the tenant's engine feeds, so a tenant
+// past the tenant-label cap steers on the shared tenant="other" series)
 //
 //   * admission (throughput probing) — each tenant gets a ticket budget of
 //     answers per interval. While the interval's mean observe latency stays

@@ -436,6 +436,21 @@ void Tenant::ForceResync() {
   if (engine_->stats().answers > 0) engine_->Resync();
 }
 
+const streaming::CategoricalStreamEngine* Tenant::SeriesEngine(
+    const obs::MetricRegistry* registry) const {
+  if (coordinator_ == nullptr) {
+    return engine_->observe_latency_series(registry) != nullptr
+               ? engine_.get()
+               : nullptr;
+  }
+  for (int s = 0; s < coordinator_->shard_count(); ++s) {
+    if (coordinator_->engine(s).observe_latency_series(registry) != nullptr) {
+      return &coordinator_->engine(s);
+    }
+  }
+  return nullptr;
+}
+
 std::string Tenant::SnapshotJson() const {
   if (coordinator_ != nullptr) {
     return coordinator_->MakeCheckpoint().Dump(2) + "\n";

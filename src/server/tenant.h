@@ -110,6 +110,8 @@ class Tenant {
 
   // Forces a full batch resync now (e.g. `POST ...?resync=1` before a
   // bit-identical comparison against a finally-resynced offline replay).
+  // Synchronous: it withdraws a periodic resync still solving in the
+  // background and solves the whole log on the calling thread.
   void ForceResync();
 
   // Engine snapshot as pretty-printed JSON (crowdtruth_stream
@@ -129,6 +131,14 @@ class Tenant {
   void Retune(int resync_interval, int max_dirty_tasks);
   int resync_interval() const { return resync_interval_; }
   int max_dirty_tasks() const { return max_dirty_tasks_; }
+
+  // The engine whose series in `registry` the adaptive controller steers
+  // on (streaming::StreamEngine::observe_latency_series, backlog_series):
+  // the tenant's engine, or the first shard engine that has resolved them
+  // (a sharded tenant's shard engines share one child of each); nullptr
+  // before the tenant's first answer.
+  const streaming::CategoricalStreamEngine* SeriesEngine(
+      const obs::MetricRegistry* registry) const;
 
   int64_t total_accepted() const { return total_accepted_; }
   int64_t total_dropped() const { return total_dropped_; }

@@ -11,6 +11,20 @@
 //   ...
 //   engine.Resync();  // final resync: estimates now equal the batch run
 //
+// A periodic resync does not stall Observe. At answer S (a multiple of
+// resync_interval) the engine launches it: it copies the first S answers
+// and hands their batch solve to the background solver
+// (util::SubmitBackground), then keeps observing on its incremental
+// estimates. At answer S + L, with the lag L = resync_interval / 10, it
+// adopts the result — waiting only if the solve has not finished — exactly
+// as a resync run at S would have, and re-applies answers S+1..S+L on top
+// (IncrementalCategoricalMethod::AdoptPrefix). So the estimates after every
+// answer stay a pure function of the answer prefix and the config, and
+// outside the windows [S, S+L) they equal those of an engine that resyncs
+// synchronously at every S. Intervals below 10 (L = 0) and every explicit
+// Resync()/AdoptResult() run synchronously; an explicit call, a Restore or
+// the destructor first withdraws a pending solve.
+//
 // When a core::TraceSink is installed, every resync emits one
 // IterationEvent: `iteration` is the resync ordinal, `delta` the estimate
 // change the resync caused, `truth_seconds` the observe time accumulated
@@ -20,10 +34,12 @@
 #ifndef CROWDTRUTH_STREAMING_ENGINE_H_
 #define CROWDTRUTH_STREAMING_ENGINE_H_
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -32,10 +48,12 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/tdigest.h"
+#include "scenario/buggify.h"
 #include "streaming/incremental.h"
 #include "streaming/worker_summary.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/status.h"
 
 namespace crowdtruth::streaming {
@@ -102,7 +120,9 @@ class StreamIdInterner {
 struct EngineConfig {
   // Run a full batch resync every this many answers; 0 disables periodic
   // resyncs (the caller may still Resync() explicitly, e.g. once at the end
-  // of a replay).
+  // of a replay). The resync launched at answer S is solved off the
+  // calling thread and adopted at answer S + resync_interval / 10, the lag
+  // fixed at launch; below 10 it runs synchronously at S.
   int resync_interval = 1000;
   // Extra metric label for multi-tenant serving (src/server/): every stream
   // metric series carries {method, tenant}. Empty outside the server.
@@ -116,8 +136,11 @@ struct EngineStats {
   // count, sum, max and quantiles in O(compression) memory however long
   // the stream runs.
   obs::TDigest observe_latency;
-  // Total wall-clock spent inside resyncs.
+  // Total wall-clock spent inside resyncs: for a periodic one, its launch,
+  // solve and adoption.
   double resync_seconds = 0.0;
+  // Periodic resyncs whose adoption had to wait for the background solve.
+  int resync_waits = 0;
 };
 
 namespace internal_engine {
@@ -190,17 +213,28 @@ class StreamEngine {
       span.Annotate("swept",
                     static_cast<int64_t>(method_->last_observe_swept()));
     }
+    if (pending_ != nullptr && stats_.answers == pending_->adopt_at) {
+      AdoptPending();
+    }
     if (config_.resync_interval > 0 &&
         stats_.answers % config_.resync_interval == 0) {
-      Resync();
+      const int lag = config_.resync_interval / kResyncLagDivisor;
+      if (lag == 0) {
+        Resync();
+      } else {
+        LaunchResync(stats_.answers, stats_.answers + lag);
+      }
     }
     return util::Status::Ok();
   }
 
-  // Full batch resync (see IncrementalCategoricalMethod::Resync). The
-  // engine_resync span nests under `parent` when given (a shard barrier
-  // running this resync on a pool worker), else under this thread's span.
+  // Full batch resync of every answer seen so far, solved and adopted now
+  // on this thread (see IncrementalCategoricalMethod::Resync); a pending
+  // periodic solve is withdrawn first. The engine_resync span nests under
+  // `parent` when given (a shard barrier running this resync on a pool
+  // worker), else under this thread's span.
   BatchResult Resync(const obs::SpanContext& parent = obs::SpanContext()) {
+    pending_.reset();
     obs::Span span("engine_resync", parent);
     BatchResult result;
     CountResync(span, [&] { result = method_->Resync(); });
@@ -212,9 +246,11 @@ class StreamEngine {
   }
 
   // Adopts an externally computed batch solution (a shard coordinator's
-  // global resync) exactly like Resync() adopts its own; counts as a resync
-  // in stats, metrics and the trace.
+  // global resync) exactly like Resync() adopts its own, withdrawing a
+  // pending periodic solve; counts as a resync in stats, metrics and the
+  // trace.
   void AdoptResult(const BatchResult& result) {
+    pending_.reset();
     obs::Span span("engine_adopt_result");
     CountResync(span, [&] { method_->AdoptResult(result); });
   }
@@ -289,6 +325,15 @@ class StreamEngine {
     root.Set("answers_seen", static_cast<int64_t>(stats_.answers));
     root.Set("resyncs", stats_.resyncs);
     root.Set("method", method_->Snapshot());
+    if (pending_ != nullptr) {
+      // A periodic resync between launch and adoption: Restore relaunches
+      // its solve, so the restored engine adopts the same result at the
+      // same answer.
+      util::JsonValue pending = util::JsonValue::Object();
+      pending.Set("launch_at", pending_->launch_at);
+      pending.Set("adopt_at", pending_->adopt_at);
+      root.Set("pending_resync", std::move(pending));
+    }
     return root;
   }
 
@@ -297,6 +342,7 @@ class StreamEngine {
   // Unknown snapshot versions are a typed kValidationError so callers can
   // distinguish "from a newer build" from plain corruption.
   util::Status Restore(const util::JsonValue& snapshot) {
+    pending_.reset();
     const util::JsonValue* format = snapshot.Find("format");
     if (format == nullptr ||
         format->kind() != util::JsonValue::Kind::kString ||
@@ -359,12 +405,30 @@ class StreamEngine {
     stats_.answers = static_cast<int64_t>(answers_seen->number());
     stats_.resyncs = static_cast<int>(resyncs->number());
     observe_seconds_traced_ = 0.0;
+    if (const util::JsonValue* pending = snapshot.Find("pending_resync")) {
+      const util::JsonValue* launch_at = pending->Find("launch_at");
+      const util::JsonValue* adopt_at = pending->Find("adopt_at");
+      if (launch_at == nullptr ||
+          launch_at->kind() != util::JsonValue::Kind::kNumber ||
+          adopt_at == nullptr ||
+          adopt_at->kind() != util::JsonValue::Kind::kNumber ||
+          launch_at->number() < 1 ||
+          launch_at->number() > method_->num_answers() ||
+          adopt_at->number() <= stats_.answers) {
+        return util::Status::InvalidArgument(
+            "snapshot field \"pending_resync\" malformed");
+      }
+      LaunchResync(static_cast<int64_t>(launch_at->number()),
+                   static_cast<int64_t>(adopt_at->number()));
+    }
     return util::Status::Ok();
   }
 
   Method& method() { return *method_; }
   const Method& method() const { return *method_; }
   const EngineStats& stats() const { return stats_; }
+  // True between a periodic resync's launch and its adoption.
+  bool resync_pending() const { return pending_ != nullptr; }
   const EngineConfig& config() const { return config_; }
   const StreamIdInterner& tasks() const { return tasks_; }
   const StreamIdInterner& workers() const { return workers_; }
@@ -377,7 +441,9 @@ class StreamEngine {
   // answers or adopted batch state. Because Resync() adopts the batch
   // solution verbatim, a retuned engine and a fresh engine replaying the
   // same log are bit-identical again after their next resync
-  // (tests/streaming_test.cc pins this).
+  // (tests/streaming_test.cc pins this). A new interval also sets the lag
+  // of the resyncs launched from then on (halving one halves the other);
+  // a pending resync keeps the lag it was launched with.
   void set_resync_interval(int interval) {
     config_.resync_interval = interval;
   }
@@ -390,7 +456,110 @@ class StreamEngine {
     metrics_registry_ = nullptr;
   }
 
+  // The registry children this engine feeds its Observe-latency summary
+  // and backlog gauge through, as resolved in `registry`; nullptr until it
+  // has resolved them there (on its first Observe or resync under that
+  // registry). Past the registry's tenant-label cap they are the
+  // tenant="other" children every such engine shares.
+  const obs::Digest* observe_latency_series(
+      const obs::MetricRegistry* registry) const {
+    return registry != nullptr && registry == metrics_registry_
+               ? metric_set_.observe_latency
+               : nullptr;
+  }
+  const obs::Gauge* backlog_series(const obs::MetricRegistry* registry) const {
+    return registry != nullptr && registry == metrics_registry_
+               ? metric_set_.backlog
+               : nullptr;
+  }
+
  private:
+  // The lag of a periodic resync is its interval over this.
+  static constexpr int kResyncLagDivisor = 10;
+
+  // A periodic resync between its launch at answer `launch_at` (S) and its
+  // adoption at `adopt_at` (S + L). The solver thread writes `solved`
+  // before its job finishes; the engine reads it only after
+  // WaitBackground. Destroying a PendingResync withdraws its solve, so no
+  // solve outlives its engine.
+  struct PendingResync {
+    struct Solved {
+      BatchResult result;
+      double seconds = 0.0;
+    };
+    PendingResync() = default;
+    PendingResync(const PendingResync&) = delete;
+    PendingResync& operator=(const PendingResync&) = delete;
+    ~PendingResync() {
+      if (job != nullptr) util::WithdrawBackground(*job);
+    }
+
+    int64_t launch_at = 0;
+    int64_t adopt_at = 0;
+    double launch_seconds = 0.0;
+    std::shared_ptr<Solved> solved = std::make_shared<Solved>();
+    std::shared_ptr<util::BackgroundJob> job;
+  };
+
+  // Launches the periodic resync of the first `launch_at` answers, to be
+  // adopted at answer `adopt_at`: a newer launch supersedes a pending one,
+  // and the solve runs on the background solver against its own copy of
+  // the prefix. The engine_resync_solve span there links to this one; the
+  // solve's EM spans are not recorded (see obs::UnrecordedScope).
+  void LaunchResync(int64_t launch_at, int64_t adopt_at) {
+    obs::Span span("engine_resync_launch");
+    pending_.reset();
+    auto pending = std::make_unique<PendingResync>();
+    pending->launch_at = launch_at;
+    pending->adopt_at = adopt_at;
+    // Buggify "resync_solve_delay": decided here, on the engine's thread,
+    // so the schedule follows the answer order. The late solve makes its
+    // adoption wait; the adopted result cannot change.
+    const bool delay = CROWDTRUTH_BUGGIFY("resync_solve_delay");
+    pending->job = util::SubmitBackground(
+        [solved = pending->solved, solve = method_->PrefixSolve(launch_at),
+         parent = span.context(), delay] {
+          obs::Span solve_span("engine_resync_solve", parent);
+          if (delay) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          {
+            const obs::UnrecordedScope em_steps;
+            solved->result = solve();
+          }
+          solved->seconds = solve_span.ElapsedSeconds();
+        });
+    if (span.armed()) {
+      span.Annotate("method", method_->name());
+      span.Annotate("launch_at", launch_at);
+      span.Annotate("adopt_at", adopt_at);
+    }
+    pending->launch_seconds = span.ElapsedSeconds();
+    pending_ = std::move(pending);
+  }
+
+  // Adopts the pending resync at its answer, waiting only if its solve has
+  // not finished. Its cost is its launch, solve and adoption, not the wait.
+  void AdoptPending() {
+    obs::Span span("engine_resync_adopt");
+    const std::unique_ptr<PendingResync> pending = std::move(pending_);
+    const bool waited = util::WaitBackground(*pending->job);
+    const double wait_seconds = span.ElapsedSeconds();
+    if (waited) {
+      ++stats_.resync_waits;
+      if (EngineMetricSet* m = Metrics()) m->resync_waits->Increment();
+    }
+    CountResync(
+        span,
+        [&] {
+          method_->AdoptPrefix(pending->launch_at, pending->solved->result);
+        },
+        pending->launch_seconds + pending->solved->seconds - wait_seconds);
+    if (span.armed()) {
+      span.Annotate("method", method_->name());
+      span.Annotate("resync_index", static_cast<int64_t>(stats_.resyncs));
+      span.Annotate("waited", static_cast<int64_t>(waited));
+    }
+  }
+
   // Cached children of the process-wide stream metric families, labeled by
   // the wrapped method's name and the owning tenant ("" outside the
   // server). Resolved once per installed registry so the per-answer cost is
@@ -404,18 +573,21 @@ class StreamEngine {
     obs::Gauge* backlog = nullptr;
     obs::Counter* resyncs = nullptr;
     obs::Digest* resync_duration = nullptr;
+    obs::Counter* resync_waits = nullptr;
   };
 
   // Runs `adopt` (which replaces the method's state with a batch solution)
-  // timed by `span`, then books it as one resync: stats, metrics and, with
-  // a trace sink set, the resync's IterationEvent. Only a traced resync
-  // copies the estimates beforehand, for the event's delta.
+  // timed by `span`, then books it as one resync costing the span's time
+  // plus `other_seconds`: stats, metrics and, with a trace sink set, the
+  // resync's IterationEvent. Only a traced resync copies the estimates
+  // beforehand, for the event's delta.
   template <typename Adopt>
-  void CountResync(const obs::Span& span, Adopt&& adopt) {
+  void CountResync(const obs::Span& span, Adopt&& adopt,
+                   double other_seconds = 0.0) {
     decltype(method_->Estimates()) before;
     if (trace_ != nullptr) before = method_->Estimates();
     adopt();
-    const double seconds = span.ElapsedSeconds();
+    const double seconds = span.ElapsedSeconds() + other_seconds;
     stats_.resync_seconds += seconds;
     ++stats_.resyncs;
     if (EngineMetricSet* m = Metrics()) {
@@ -485,6 +657,14 @@ class StreamEngine {
                    "Wall-clock cost of individual resyncs.", names,
                    obs::DigestOptions())
                .WithLabels(label);
+      metric_set_.resync_waits =
+          &registry
+               ->AddCounterFamily(
+                   "crowdtruth_stream_resync_waits_total",
+                   "Periodic resyncs whose adoption waited for the "
+                   "background solve.",
+                   names)
+               .WithLabels(label);
       metrics_registry_ = registry;
     }
     return &metric_set_;
@@ -500,6 +680,8 @@ class StreamEngine {
   double observe_seconds_traced_ = 0.0;
   EngineMetricSet metric_set_;
   obs::MetricRegistry* metrics_registry_ = nullptr;
+  // The periodic resync launched and not yet adopted, if any.
+  std::unique_ptr<PendingResync> pending_;
 };
 
 using CategoricalStreamEngine = StreamEngine<IncrementalCategoricalMethod>;

@@ -1,10 +1,13 @@
 #include "streaming/incremental.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <utility>
 
 #include "streaming/snapshot_util.h"
+#include "util/logging.h"
 
 namespace crowdtruth::streaming {
 
@@ -60,6 +63,63 @@ Status CheckDenseIndex(double value, int limit, const char* what) {
                                    what + " index");
   }
   return Status::Ok();
+}
+
+// The task and worker spaces an answer prefix spans: its largest ids plus
+// one, which is what the spaces were right after its last answer (they
+// grow only by Observe).
+template <typename Answer>
+std::pair<int, int> SpacesOf(std::span<const Answer> prefix) {
+  int tasks = 0;
+  int workers = 0;
+  for (const Answer& answer : prefix) {
+    tasks = std::max(tasks, answer.task + 1);
+    workers = std::max(workers, answer.worker + 1);
+  }
+  return {tasks, workers};
+}
+
+// Undoes the store side of the Observes past the first `answers`: each
+// one's votes sit at the back of the arrival order and of its task's and
+// worker's lists, and a trailing empty list is an id the prefix never
+// answered, so the spaces shrink back to the prefix's.
+template <typename Answer, typename TaskVote, typename WorkerVote>
+void RewindStore(int64_t answers, std::vector<Answer>* store,
+                 std::vector<std::vector<TaskVote>>* by_task,
+                 std::vector<std::vector<WorkerVote>>* by_worker) {
+  for (int64_t i = static_cast<int64_t>(store->size()) - 1; i >= answers;
+       --i) {
+    (*by_task)[(*store)[i].task].pop_back();
+    (*by_worker)[(*store)[i].worker].pop_back();
+  }
+  store->resize(answers);
+  while (!by_task->empty() && by_task->back().empty()) by_task->pop_back();
+  while (!by_worker->empty() && by_worker->back().empty()) {
+    by_worker->pop_back();
+  }
+}
+
+data::CategoricalDataset MaterializeCategorical(
+    std::span<const CategoricalAnswer> answers, int num_tasks,
+    int num_workers, int num_choices, const std::string& name) {
+  data::CategoricalDatasetBuilder builder(num_tasks, num_workers,
+                                          num_choices);
+  builder.set_name(name);
+  for (const CategoricalAnswer& answer : answers) {
+    builder.AddAnswer(answer.task, answer.worker, answer.label);
+  }
+  return std::move(builder).Build();
+}
+
+data::NumericDataset MaterializeNumeric(std::span<const NumericAnswer> answers,
+                                        int num_tasks, int num_workers,
+                                        const std::string& name) {
+  data::NumericDatasetBuilder builder(num_tasks, num_workers);
+  builder.set_name(name);
+  for (const NumericAnswer& answer : answers) {
+    builder.AddAnswer(answer.task, answer.worker, answer.value);
+  }
+  return std::move(builder).Build();
 }
 
 }  // namespace
@@ -122,23 +182,52 @@ std::vector<double> IncrementalCategoricalMethod::WorkerQualities() const {
 core::CategoricalResult IncrementalCategoricalMethod::Resync() {
   core::CategoricalResult result;
   if (answers_.empty()) return result;
-  const data::CategoricalDataset dataset = MaterializeDataset();
-  result = MakeBatchMethod()->Infer(dataset, options_.batch);
+  result = MakeBatchMethod()->Infer(MaterializeDataset(), options_.batch);
+  AdoptPrefix(num_answers(), result);
+  return result;
+}
+
+std::function<core::CategoricalResult()>
+IncrementalCategoricalMethod::PrefixSolve(int64_t answers) const {
+  std::vector<CategoricalAnswer> prefix(answers_.begin(),
+                                        answers_.begin() + answers);
+  const auto [tasks, workers] =
+      answers == num_answers()
+          ? std::pair(num_tasks(), num_workers())
+          : SpacesOf(std::span<const CategoricalAnswer>(prefix));
+  std::shared_ptr<const core::CategoricalMethod> solver = MakeBatchMethod();
+  return [prefix = std::move(prefix), tasks, workers,
+          choices = num_choices_, name = name() + "_stream", solver,
+          options = options_.batch]() mutable {
+    const data::CategoricalDataset dataset =
+        MaterializeCategorical(prefix, tasks, workers, choices, name);
+    std::vector<CategoricalAnswer>().swap(prefix);  // not needed by Infer
+    return solver->Infer(dataset, options);
+  };
+}
+
+void IncrementalCategoricalMethod::AdoptPrefix(
+    int64_t answers, const core::CategoricalResult& result) {
+  const std::vector<CategoricalAnswer> tail(answers_.begin() + answers,
+                                            answers_.end());
+  if (!tail.empty()) {
+    RewindStore(answers, &answers_, &by_task_, &by_worker_);
+    OnGrow();
+  }
+  CROWDTRUTH_CHECK_EQ(result.labels.size(),
+                      static_cast<size_t>(num_tasks()));
   AdoptBatch(result);
   // The batch solution subsumes any deferred localized re-estimation.
   backlog_.clear();
-  return result;
+  for (const CategoricalAnswer& answer : tail) {
+    CROWDTRUTH_CHECK(Observe(answer).ok());
+  }
 }
 
 data::CategoricalDataset IncrementalCategoricalMethod::MaterializeDataset()
     const {
-  data::CategoricalDatasetBuilder builder(num_tasks(), num_workers(),
-                                          num_choices_);
-  builder.set_name(name() + "_stream");
-  for (const CategoricalAnswer& answer : answers_) {
-    builder.AddAnswer(answer.task, answer.worker, answer.label);
-  }
-  return std::move(builder).Build();
+  return MaterializeCategorical(answers_, num_tasks(), num_workers(),
+                                num_choices_, name() + "_stream");
 }
 
 JsonValue IncrementalCategoricalMethod::Snapshot() const {
@@ -293,19 +382,48 @@ std::vector<double> IncrementalNumericMethod::WorkerQualities() const {
 core::NumericResult IncrementalNumericMethod::Resync() {
   core::NumericResult result;
   if (answers_.empty()) return result;
-  const data::NumericDataset dataset = MaterializeDataset();
-  result = MakeBatchMethod()->Infer(dataset, options_.batch);
-  AdoptBatch(result);
+  result = MakeBatchMethod()->Infer(MaterializeDataset(), options_.batch);
+  AdoptPrefix(num_answers(), result);
   return result;
 }
 
-data::NumericDataset IncrementalNumericMethod::MaterializeDataset() const {
-  data::NumericDatasetBuilder builder(num_tasks(), num_workers());
-  builder.set_name(name() + "_stream");
-  for (const NumericAnswer& answer : answers_) {
-    builder.AddAnswer(answer.task, answer.worker, answer.value);
+std::function<core::NumericResult()> IncrementalNumericMethod::PrefixSolve(
+    int64_t answers) const {
+  std::vector<NumericAnswer> prefix(answers_.begin(),
+                                    answers_.begin() + answers);
+  const auto [tasks, workers] =
+      answers == num_answers()
+          ? std::pair(num_tasks(), num_workers())
+          : SpacesOf(std::span<const NumericAnswer>(prefix));
+  std::shared_ptr<const core::NumericMethod> solver = MakeBatchMethod();
+  return [prefix = std::move(prefix), tasks, workers,
+          name = name() + "_stream", solver,
+          options = options_.batch]() mutable {
+    const data::NumericDataset dataset =
+        MaterializeNumeric(prefix, tasks, workers, name);
+    std::vector<NumericAnswer>().swap(prefix);  // not needed by Infer
+    return solver->Infer(dataset, options);
+  };
+}
+
+void IncrementalNumericMethod::AdoptPrefix(int64_t answers,
+                                           const core::NumericResult& result) {
+  const std::vector<NumericAnswer> tail(answers_.begin() + answers,
+                                        answers_.end());
+  if (!tail.empty()) {
+    RewindStore(answers, &answers_, &by_task_, &by_worker_);
+    OnGrow();
   }
-  return std::move(builder).Build();
+  CROWDTRUTH_CHECK_EQ(result.values.size(), static_cast<size_t>(num_tasks()));
+  AdoptBatch(result);
+  for (const NumericAnswer& answer : tail) {
+    CROWDTRUTH_CHECK(Observe(answer).ok());
+  }
+}
+
+data::NumericDataset IncrementalNumericMethod::MaterializeDataset() const {
+  return MaterializeNumeric(answers_, num_tasks(), num_workers(),
+                            name() + "_stream");
 }
 
 JsonValue IncrementalNumericMethod::Snapshot() const {

@@ -14,7 +14,11 @@
 //   * Resync()            — run the batch counterpart over every answer seen
 //                           so far and adopt its state verbatim, so the
 //                           streamed estimates provably coincide with the
-//                           batch result at that point;
+//                           batch result at that point. Its two halves also
+//                           run apart: PrefixSolve() is the batch solve of a
+//                           prefix as a job for any thread, AdoptPrefix()
+//                           adopts it later as if Resync() had run at the
+//                           end of that prefix;
 //   * Snapshot()/Restore()— serialize the full state (answers + derived
 //                           estimates, verbatim doubles) to JSON, so a
 //                           restored method continues bit-identically.
@@ -29,6 +33,7 @@
 #define CROWDTRUTH_STREAMING_INCREMENTAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -159,8 +164,22 @@ class IncrementalCategoricalMethod {
   // Runs the batch counterpart over all answers seen so far (on the exact
   // dataset MaterializeDataset() returns) and adopts labels, posterior and
   // worker qualities verbatim. Returns the batch result. No-op returning an
-  // empty result before the first answer.
+  // empty result before the first answer. Equivalent to
+  // AdoptPrefix(num_answers(), PrefixSolve(num_answers())()).
   core::CategoricalResult Resync();
+
+  // The batch solve of the first `answers` answers as a self-contained job:
+  // it owns a copy of that arrival-order prefix (a copy of `answers`
+  // triples) and its own batch solver, so it may run on any thread while
+  // this method keeps observing.
+  std::function<core::CategoricalResult()> PrefixSolve(int64_t answers) const;
+
+  // Leaves the method exactly as Resync() right after its `answers`-th
+  // answer would have, given that prefix's batch solution `result`, then
+  // re-observes the answers that arrived since: they are popped off the
+  // back of the store, the spaces shrink back to the prefix's, the result
+  // is adopted and the popped answers are observed again in order.
+  void AdoptPrefix(int64_t answers, const core::CategoricalResult& result);
 
   // Adopts an externally computed batch solution over the current answers
   // (the shard coordinator's global resync, restricted to this shard's
@@ -199,13 +218,16 @@ class IncrementalCategoricalMethod {
   util::Status Restore(const util::JsonValue& snapshot);
 
  protected:
-  // Called after the task/worker spaces grew; subclasses resize their
-  // per-task / per-worker state (new slots get initial values).
+  // Called after the task/worker spaces grew, or shrank (AdoptPrefix);
+  // subclasses resize their per-task / per-worker state (new slots get
+  // initial values).
   virtual void OnGrow() = 0;
   // Called after the answer was appended to the adjacency views; subclasses
   // run their localized update.
   virtual void OnObserve(const CategoricalAnswer& answer) = 0;
-  // Adopts a batch result verbatim (sizes match the current spaces).
+  // Adopts a batch result verbatim (sizes match the current spaces) and
+  // rebuilds every other piece of subclass state from the answer store, so
+  // the state afterwards depends on nothing but the store and `result`.
   virtual void AdoptBatch(const core::CategoricalResult& result) = 0;
   virtual std::unique_ptr<core::CategoricalMethod> MakeBatchMethod()
       const = 0;
@@ -264,7 +286,10 @@ class IncrementalNumericMethod {
   std::vector<double> Estimates() const;
   std::vector<double> WorkerQualities() const;
 
+  // See IncrementalCategoricalMethod::Resync, PrefixSolve and AdoptPrefix.
   core::NumericResult Resync();
+  std::function<core::NumericResult()> PrefixSolve(int64_t answers) const;
+  void AdoptPrefix(int64_t answers, const core::NumericResult& result);
 
   // See IncrementalCategoricalMethod::AdoptResult.
   void AdoptResult(const core::NumericResult& result) {
@@ -290,6 +315,7 @@ class IncrementalNumericMethod {
   util::Status Restore(const util::JsonValue& snapshot);
 
  protected:
+  // See the IncrementalCategoricalMethod hooks.
   virtual void OnGrow() = 0;
   virtual void OnObserve(const NumericAnswer& answer) = 0;
   virtual void AdoptBatch(const core::NumericResult& result) = 0;

@@ -33,6 +33,21 @@ void StreamingMajorityVote::OnObserve(const CategoricalAnswer& answer) {
   }
 }
 
+void StreamingMajorityVote::AdoptBatch(
+    const core::CategoricalResult& result) {
+  labels_ = result.labels;
+  RebuildCounts();
+}
+
+void StreamingMajorityVote::RebuildCounts() {
+  counts_.assign(num_tasks(), std::vector<int>(num_choices_, 0));
+  for (data::TaskId t = 0; t < num_tasks(); ++t) {
+    for (const data::TaskVote& vote : by_task_[t]) {
+      ++counts_[t][vote.label];
+    }
+  }
+}
+
 std::unique_ptr<core::CategoricalMethod>
 StreamingMajorityVote::MakeBatchMethod() const {
   return std::make_unique<core::MajorityVoting>();
@@ -46,13 +61,7 @@ Status StreamingMajorityVote::RestoreState(const JsonValue& state) {
   Status status = internal::FromJson(state.Find("labels"), "labels",
                                      num_tasks(), &labels_);
   if (!status.ok()) return status;
-  // Counts are raw data; rebuild them from the adjacency.
-  counts_.assign(num_tasks(), std::vector<int>(num_choices_, 0));
-  for (data::TaskId t = 0; t < num_tasks(); ++t) {
-    for (const data::TaskVote& vote : by_task_[t]) {
-      ++counts_[t][vote.label];
-    }
-  }
+  RebuildCounts();
   return Status::Ok();
 }
 

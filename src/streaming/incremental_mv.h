@@ -29,14 +29,15 @@ class StreamingMajorityVote : public IncrementalCategoricalMethod {
  protected:
   void OnGrow() override;
   void OnObserve(const CategoricalAnswer& answer) override;
-  void AdoptBatch(const core::CategoricalResult& result) override {
-    labels_ = result.labels;
-  }
+  void AdoptBatch(const core::CategoricalResult& result) override;
   std::unique_ptr<core::CategoricalMethod> MakeBatchMethod() const override;
   void SnapshotState(util::JsonValue* state) const override;
   util::Status RestoreState(const util::JsonValue& state) override;
 
  private:
+  // Counts are raw data: rebuilt from the adjacency.
+  void RebuildCounts();
+
   // counts_[t][z]: votes task t received for choice z.
   std::vector<std::vector<int>> counts_;
   std::vector<data::LabelId> labels_;

@@ -89,7 +89,9 @@ void StreamingMedian::RebuildBuffers() {
     for (const data::NumericTaskVote& vote : by_task_[t]) {
       sorted_[t].push_back(vote.value);
     }
-    std::sort(sorted_[t].begin(), sorted_[t].end());
+    // Stable, like OnObserve's insert after equal values: 0.0 and -0.0
+    // keep their arrival order.
+    std::stable_sort(sorted_[t].begin(), sorted_[t].end());
   }
 }
 

@@ -35,10 +35,12 @@ class IncrementalNumericBaseline : public IncrementalNumericMethod {
  protected:
   void AdoptBatch(const core::NumericResult& result) override {
     values_ = result.values;
+    RebuildBuffers();
   }
   void SnapshotState(util::JsonValue* state) const override;
   util::Status RestoreState(const util::JsonValue& state) override;
-  // Rebuilds per-task accumulators from the adjacency after a Restore.
+  // Rebuilds per-task accumulators from the adjacency (after a Restore or
+  // an adoption), bit-identical to the ones Observe accumulates.
   virtual void RebuildBuffers() = 0;
 
   std::vector<double> values_;

@@ -4,9 +4,15 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <deque>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "util/sharded_counter.h"
 
@@ -127,6 +133,117 @@ class SlottedPool {
 };
 
 }  // namespace
+
+class BackgroundJob {
+ public:
+  enum class State { kQueued, kRunning, kFinished, kWithdrawn };
+  explicit BackgroundJob(std::function<void()> fn) : fn(std::move(fn)) {}
+
+  // Released by the solver thread once it has run, or by the withdrawing
+  // thread, so nothing the job captured outlives either.
+  std::function<void()> fn;
+  State state = State::kQueued;  // guarded by the runner's mutex
+};
+
+namespace {
+
+// The thread behind SubmitBackground. Created (and its thread started) on
+// first submit, and leaked at process exit like SlottedPool: the thread
+// parks on a condition variable and holds nothing but its stack.
+class BackgroundRunner {
+ public:
+  static BackgroundRunner& Instance() {
+    static BackgroundRunner* runner = new BackgroundRunner();
+    return *runner;
+  }
+
+  std::shared_ptr<BackgroundJob> Submit(std::function<void()> fn) {
+    auto job = std::make_shared<BackgroundJob>(std::move(fn));
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      queue_.push_back(job);
+    }
+    work_cv_.notify_one();
+    return job;
+  }
+
+  bool Wait(BackgroundJob& job) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (Settled(job)) return false;
+    done_cv_.wait(lock, [&job] { return Settled(job); });
+    return true;
+  }
+
+  void Withdraw(BackgroundJob& job) {
+    std::function<void()> released;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (job.state == BackgroundJob::State::kQueued) {
+        std::erase_if(queue_, [&job](const std::shared_ptr<BackgroundJob>&
+                                         queued) {
+          return queued.get() == &job;
+        });
+        job.state = BackgroundJob::State::kWithdrawn;
+        released = std::move(job.fn);
+      } else {
+        done_cv_.wait(lock, [&job] { return Settled(job); });
+      }
+    }
+  }
+
+ private:
+  BackgroundRunner() : thread_([this] { Loop(); }) { thread_.detach(); }
+
+  static bool Settled(const BackgroundJob& job) {
+    return job.state == BackgroundJob::State::kFinished ||
+           job.state == BackgroundJob::State::kWithdrawn;
+  }
+
+  void Loop() {
+    while (true) {
+      std::shared_ptr<BackgroundJob> job;
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        work_cv_.wait(lock, [this] { return !queue_.empty(); });
+        job = std::move(queue_.front());
+        queue_.pop_front();
+        job->state = BackgroundJob::State::kRunning;
+      }
+      job->fn();
+      job->fn = nullptr;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        job->state = BackgroundJob::State::kFinished;
+      }
+      done_cv_.notify_all();
+#if defined(__GLIBC__)
+      // This thread allocates from its own malloc arena, which would keep
+      // the largest job's freed working set resident until the next job.
+      malloc_trim(0);
+#endif
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  std::deque<std::shared_ptr<BackgroundJob>> queue_;
+  std::thread thread_;
+};
+
+}  // namespace
+
+std::shared_ptr<BackgroundJob> SubmitBackground(std::function<void()> fn) {
+  return BackgroundRunner::Instance().Submit(std::move(fn));
+}
+
+bool WaitBackground(BackgroundJob& job) {
+  return BackgroundRunner::Instance().Wait(job);
+}
+
+void WithdrawBackground(BackgroundJob& job) {
+  BackgroundRunner::Instance().Withdraw(job);
+}
 
 void ParallelFor(int count, int num_threads,
                  const std::function<void(int)>& fn) {

@@ -12,11 +12,15 @@
 //                         (core/em_loop.h), whose sharded truth/quality
 //                         steps run many short regions per inference call;
 //                         re-spawning threads per region would dominate.
+//
+// Beside them, the background solver: one process-wide thread that runs
+// whole jobs in FIFO order while their submitter carries on.
 #ifndef CROWDTRUTH_UTIL_PARALLEL_H_
 #define CROWDTRUTH_UTIL_PARALLEL_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 namespace crowdtruth::util {
@@ -64,6 +68,28 @@ SlottedPoolStats GetSlottedPoolStats();
 // A positive `cap` bounds the hardware fallback (the env override is the
 // operator's word and is not capped).
 int DefaultThreads(int cap = 0);
+
+// --- The background solver ---
+//
+// One thread per process, started by the first SubmitBackground, runs the
+// submitted jobs one at a time in submission order. The stream engine
+// hands it the batch solves of its periodic resyncs, so they run beside
+// the serving loop instead of on it; one queue for every engine keeps the
+// solves serialized, as they were on the loop. A job may itself run
+// ParallelForSlotted regions (a multi-threaded batch solve).
+class BackgroundJob;
+
+// Queues `fn` (which must not throw) and returns its handle.
+std::shared_ptr<BackgroundJob> SubmitBackground(std::function<void()> fn);
+
+// Blocks until `job` has run. Returns true when it had not finished yet,
+// i.e. the caller had to wait. Returns false at once for a withdrawn job.
+bool WaitBackground(BackgroundJob& job);
+
+// Takes `job` off the queue when it has not started, so it never runs;
+// otherwise waits until it has finished. Either way the job holds nothing
+// of its submitter's afterwards.
+void WithdrawBackground(BackgroundJob& job);
 
 }  // namespace crowdtruth::util
 

@@ -351,6 +351,31 @@ TEST_F(ControllerIntegrationTest, DigestTailDrivesRetuneAndQuantileGauges) {
       std::string::npos);
 }
 
+// A tenant admitted past the registry's tenant-label cap feeds the shared
+// tenant="other" series. The controller steers it on those, instead of
+// reading it as idle because no series carries its name.
+TEST_F(ControllerIntegrationTest, TenantPastTheLabelCapSteersOnOther) {
+  registry_.SetLabelCardinalityCap("tenant", 1);
+  server::TenantOptions options;
+  options.method = "MV";
+  options.num_choices = 2;
+  std::unique_ptr<server::Tenant> past_cap;
+  ASSERT_TRUE(server::Tenant::Create("t1", options, &past_cap).ok());
+  auto config = TestConfig();
+  config.target_latency_seconds = 0.5;
+  server::AdaptiveController controller(config, &registry_);
+  server::IngestResult result;
+  ASSERT_TRUE(tenant_->Ingest("w1,t1,1\nw2,t1,0\n", &result).ok());
+  ASSERT_TRUE(past_cap->Ingest("w1,t1,1\nw2,t1,0\n", &result).ok());
+  ASSERT_NE(registry_.PrometheusText().find("tenant=\"other\""),
+            std::string::npos);
+
+  controller.Tick({tenant_.get(), past_cap.get()});
+  EXPECT_EQ(controller.probe_state("t0"), server::ProbeState::kProbing);
+  EXPECT_EQ(controller.probe_state("t1"), server::ProbeState::kProbing);
+  EXPECT_GT(past_cap->tickets(), config.initial_tickets);
+}
+
 TEST_F(ControllerIntegrationTest, NullRegistryStillGrantsTickets) {
   server::AdaptiveController controller(TestConfig(), nullptr);
   controller.Tick({tenant_.get()});

@@ -72,6 +72,28 @@ TEST(SpanTest, DisarmedSpanStillTimesItsEvent) {
   EXPECT_LE(last, outer.ElapsedSeconds());
 }
 
+// Inside an UnrecordedScope spans record nothing but still time their
+// events; spans opened before and after it record as usual.
+TEST(SpanTest, UnrecordedScopeDisarmsTheSpansOpenedInIt) {
+  ScopedRecorder recorder;
+  {
+    Span outer("kept_outer");
+    ASSERT_TRUE(outer.armed());
+    {
+      const UnrecordedScope quiet;
+      Span inner("dropped_inner");
+      EXPECT_FALSE(inner.armed());
+      EXPECT_GE(inner.ElapsedSeconds(), 0.0);
+    }
+    Span after("kept_after");
+    EXPECT_TRUE(after.armed());
+  }
+  const std::vector<SpanRecord> spans = recorder.get()->Dump();
+  EXPECT_NE(FindByName(spans, "kept_outer"), nullptr);
+  EXPECT_NE(FindByName(spans, "kept_after"), nullptr);
+  EXPECT_EQ(FindByName(spans, "dropped_inner"), nullptr);
+}
+
 // An armed span's recorded duration is the same clock: it is at least any
 // elapsed time read inside the span, and no longer than the span's scope.
 TEST(SpanTest, ArmedDurationBoundsElapsedReadings) {

@@ -24,7 +24,10 @@
 #include "scenario/workload.h"
 #include "shard/checkpoint.h"
 #include "shard/coordinator.h"
+#include "streaming/engine.h"
+#include "streaming/registry.h"
 #include "util/json_writer.h"
+#include "util/parallel.h"
 #include "util/status.h"
 
 namespace crowdtruth::scenario {
@@ -526,6 +529,73 @@ TEST(BuggifyShardTest, RecoveryFromDiskCheckpointsSurvivesFaults) {
     EXPECT_EQ(latest_seq, static_cast<int64_t>(cut_late));
   }
   std::filesystem::remove_all(dir);
+}
+
+// --- The resync_solve_delay site -----------------------------------------
+
+// The estimates after every answer of one engine run, with its waiting
+// adoptions and the fault log it left.
+struct LaggedEngineRun {
+  std::vector<std::vector<data::LabelId>> estimates;
+  int waits = 0;
+  std::vector<std::string> fault_lines;
+};
+
+// Streams the answers of `events` through a ZC engine whose periodic
+// resyncs are solved in the background (interval 50, lag 5). With
+// `settle`, each launched solve has finished before the next answer: the
+// background solver runs jobs in order, so waiting on a no-op submitted
+// after it waits for the solve too, and no adoption has to wait.
+LaggedEngineRun RunLaggedEngine(const std::vector<ScenarioEvent>& events,
+                                int num_choices, bool settle) {
+  streaming::EngineConfig config;
+  config.resync_interval = 50;
+  streaming::CategoricalStreamEngine engine(
+      streaming::MakeIncrementalCategorical("ZC", num_choices, {}), config);
+  LaggedEngineRun run;
+  for (const ScenarioEvent& event : events) {
+    if (event.kind != ScenarioEvent::Kind::kAnswer) continue;
+    EXPECT_TRUE(engine.Observe(event.task, event.worker, event.label).ok());
+    if (settle && engine.resync_pending()) {
+      util::WaitBackground(*util::SubmitBackground([] {}));
+    }
+    run.estimates.push_back(engine.method().Estimates());
+  }
+  run.waits = engine.stats().resync_waits;
+  run.fault_lines = BuggifyFaultLines();
+  return run;
+}
+
+// The armed site delays every periodic solve, so adoptions wait for it;
+// the truth after every answer is still that of the unarmed run, whose
+// solves all finish before their adoption.
+TEST(BuggifyStreamTest, ResyncSolveDelayForcesWaitsWithoutChangingTruth) {
+  auto generator = MakeGenerator(SmallSpec("adversary_burst"));
+  ASSERT_NE(generator, nullptr);
+  const std::vector<ScenarioEvent> events = Drain(*generator);
+  const int choices = generator->spec().num_choices;
+
+  DisableBuggify();
+  const LaggedEngineRun settled = RunLaggedEngine(events, choices, true);
+  EXPECT_EQ(settled.waits, 0);
+  ASSERT_GE(settled.estimates.size(), 155u);  // three adopted resyncs
+
+  BuggifyConfig config;
+  config.seed = 5;
+  config.activate_probability = 1.0;
+  config.fire_probability = 1.0;
+  EnableBuggify(config);
+  const LaggedEngineRun delayed = RunLaggedEngine(events, choices, false);
+  DisableBuggify();
+
+  EXPECT_EQ(delayed.estimates, settled.estimates);
+  if (kBuggifyCompiledIn) {
+    EXPECT_EQ(delayed.fault_lines.size(), settled.estimates.size() / 50);
+    for (const std::string& line : delayed.fault_lines) {
+      EXPECT_EQ(line.rfind("resync_solve_delay#", 0), 0u) << line;
+    }
+    EXPECT_GT(delayed.waits, 0);
+  }
 }
 
 }  // namespace

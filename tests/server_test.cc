@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -29,6 +30,7 @@
 #include "streaming/registry.h"
 #include "util/csv.h"
 #include "util/json_writer.h"
+#include "util/parallel.h"
 
 namespace server = crowdtruth::server;
 namespace data = crowdtruth::data;
@@ -520,6 +522,69 @@ std::string ReplayLogTruth(const std::string& log_path,
              "\n";
   }
   return truth;
+}
+
+// Holds the process's background solver until destroyed, so a periodic
+// resync launched meanwhile stays queued behind it.
+class SolverBlocker {
+ public:
+  SolverBlocker()
+      : released_(release_.get_future().share()),
+        job_(util::SubmitBackground(
+            [released = released_] { released.wait(); })) {}
+  ~SolverBlocker() {
+    release_.set_value();
+    util::WaitBackground(*job_);
+  }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> released_;
+  std::shared_ptr<util::BackgroundJob> job_;
+};
+
+// ?resync=1 while a periodic resync is still solving in the background
+// withdraws that solve and serves the batch truth of the whole log.
+TEST_F(ServerTest, ForcedResyncWithdrawsAPendingSolve) {
+  server::ServerConfig config = Config();  // resync_interval 50: lag 5
+  config.tenant_defaults.data_dir = ::testing::TempDir();
+  server::StreamingServer srv(config, &registry_);
+  std::string served;
+  {
+    const SolverBlocker blocker;
+    ASSERT_EQ(srv.Handle(Post("/v1/tenants/pending/answers",
+                              MakeWorkload(52, 12, 8, 3, 9)))
+                  .status,
+              200);
+    server::Tenant* tenant = srv.FindTenant("pending");
+    ASSERT_EQ(tenant->engine().stats().answers, 52);
+    ASSERT_TRUE(tenant->engine().resync_pending());
+    served = srv.Handle(Get("/v1/tenants/pending/truth?resync=1")).body;
+    EXPECT_FALSE(tenant->engine().resync_pending());
+    EXPECT_EQ(tenant->engine().stats().resyncs, 1);
+  }
+  server::TenantOptions options = config.tenant_defaults;
+  options.resync_interval = 0;
+  EXPECT_EQ(served,
+            ReplayLogTruth(srv.FindTenant("pending")->log_path(), options));
+}
+
+// Tearing a tenant down with a periodic solve pending withdraws the solve:
+// a queued one never runs, a running one is waited for, and nothing the
+// solve holds outlives the tenant.
+TEST_F(ServerTest, TeardownWithAPendingSolveReturnsCleanly) {
+  const std::string workload = MakeWorkload(52, 12, 8, 3, 13);
+  {
+    const SolverBlocker blocker;
+    server::StreamingServer srv(Config(), &registry_);
+    ASSERT_EQ(srv.Handle(Post("/v1/tenants/queued/answers", workload)).status,
+              200);
+    ASSERT_TRUE(srv.FindTenant("queued")->engine().resync_pending());
+  }
+  server::StreamingServer srv(Config(), &registry_);
+  ASSERT_EQ(srv.Handle(Post("/v1/tenants/racing/answers", workload)).status,
+            200);
+  EXPECT_TRUE(srv.FindTenant("racing")->engine().resync_pending());
 }
 
 // A label outside int is a parse error: never wrapped into a valid label

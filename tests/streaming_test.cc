@@ -4,6 +4,7 @@
 // and the incremental registry.
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -690,6 +691,237 @@ TEST(NumericStreamTest, MedianEstimatesSmallStreams) {
   ASSERT_TRUE(engine.Observe("b", "w2", 12.0).ok());
   EXPECT_DOUBLE_EQ(engine.method().Estimate(0), 4.0);
   EXPECT_DOUBLE_EQ(engine.method().Estimate(1), 12.0);
+}
+
+// --- Periodic resyncs solved off the calling thread ---
+
+struct NumericStreamAnswer {
+  std::string task;
+  std::string worker;
+  double value;
+};
+
+data::LabelId PayloadOf(const CategoricalStreamAnswer& answer) {
+  return answer.label;
+}
+double PayloadOf(const NumericStreamAnswer& answer) { return answer.value; }
+
+EngineConfig IntervalConfig(int resync_interval, const std::string& tenant) {
+  EngineConfig config;
+  config.resync_interval = resync_interval;
+  config.tenant = tenant;
+  return config;
+}
+
+// Feeds `stream` to an engine at resync_interval 50 (lag 5) and to a
+// reference that resyncs synchronously at every multiple of 50, checking
+// the engine after every answer. Outside a lag window [S, S+5) it equals
+// the reference. Inside one it equals a fork of the reference taken just
+// before its resync at S: the un-resynced state. Each answer is counted
+// once, although the adoption re-observes the window's answers.
+template <typename Engine, typename Answer, typename MakeMethod>
+void ExpectLaggedAdoption(const std::vector<Answer>& stream,
+                          const MakeMethod& make_method) {
+  constexpr int kInterval = 50;
+  constexpr int kLag = kInterval / 10;
+  obs::MetricRegistry registry;
+  // Uninstalled on every exit, a failed ASSERT's early return included.
+  struct Installed {
+    explicit Installed(obs::MetricRegistry* r) {
+      obs::InstallProcessMetrics(r);
+    }
+    ~Installed() { obs::InstallProcessMetrics(nullptr); }
+  } installed(&registry);
+  Engine lagged(make_method(), IntervalConfig(kInterval, "lagged"));
+  Engine reference(make_method(), IntervalConfig(0, "reference"));
+  std::unique_ptr<Engine> fork;
+  int64_t adopt_at = 0;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const Answer& answer = stream[i];
+    const int64_t n = static_cast<int64_t>(i) + 1;
+    ASSERT_TRUE(
+        lagged.Observe(answer.task, answer.worker, PayloadOf(answer)).ok());
+    ASSERT_TRUE(
+        reference.Observe(answer.task, answer.worker, PayloadOf(answer))
+            .ok());
+    if (fork != nullptr) {
+      ASSERT_TRUE(
+          fork->Observe(answer.task, answer.worker, PayloadOf(answer)).ok());
+    }
+    if (n == adopt_at) fork.reset();
+    if (n % kInterval == 0) {
+      fork = std::make_unique<Engine>(make_method(),
+                                      IntervalConfig(0, "fork"));
+      ASSERT_TRUE(fork->Restore(reference.Snapshot()).ok());
+      reference.Resync();
+      adopt_at = n + kLag;
+    }
+    const Engine& expected = fork != nullptr ? *fork : reference;
+    ASSERT_EQ(lagged.resync_pending(), fork != nullptr) << "answer " << n;
+    ASSERT_EQ(lagged.method().Estimates(), expected.method().Estimates())
+        << "answer " << n;
+    ASSERT_EQ(lagged.method().WorkerQualities(),
+              expected.method().WorkerQualities())
+        << "answer " << n;
+  }
+  const std::string text = registry.PrometheusText();
+  const int64_t answers = static_cast<int64_t>(stream.size());
+  EXPECT_EQ(lagged.stats().answers, answers);
+  EXPECT_EQ(lagged.stats().observe_latency.count(), answers);
+  EXPECT_EQ(lagged.stats().resyncs,
+            reference.stats().resyncs - (fork != nullptr ? 1 : 0));
+  const std::string labels =
+      "{method=\"" + lagged.method().name() + "\",tenant=\"lagged\"}";
+  EXPECT_EQ(SampleValue(text, "crowdtruth_stream_answers_total" + labels),
+            static_cast<double>(answers));
+  EXPECT_EQ(SampleValue(text, "crowdtruth_stream_observe_latency_seconds_"
+                              "count" + labels),
+            static_cast<double>(answers));
+  EXPECT_EQ(SampleValue(text, "crowdtruth_stream_resyncs_total" + labels),
+            static_cast<double>(lagged.stats().resyncs));
+  EXPECT_EQ(
+      SampleValue(text, "crowdtruth_stream_resync_waits_total" + labels),
+      static_cast<double>(lagged.stats().resync_waits));
+}
+
+TEST(LaggedResyncTest, CategoricalMatchesSynchronousReferenceAtAnyWidth) {
+  testing::PlantedSpec spec;
+  spec.num_tasks = 60;
+  spec.num_workers = 10;
+  spec.num_choices = 3;
+  spec.redundancy = 5;
+  std::vector<CategoricalStreamAnswer> stream =
+      ShuffledStream(testing::PlantedDataset(spec, 23), 29);
+  // Each worker reappears under a new id every 37 answers, so workers (not
+  // only tasks) are first seen inside lag windows too.
+  for (size_t i = 0; i < stream.size(); ++i) {
+    stream[i].worker += "_" + std::to_string(i / 37);
+  }
+  for (const int threads : {1, 4}) {
+    for (const std::string& method_name : IncrementalCategoricalNames()) {
+      SCOPED_TRACE(method_name + " threads=" + std::to_string(threads));
+      StreamingOptions options;
+      options.batch.num_threads = threads;
+      ExpectLaggedAdoption<CategoricalStreamEngine>(stream, [&] {
+        return MakeIncrementalCategorical(method_name, spec.num_choices,
+                                          options);
+      });
+    }
+  }
+}
+
+TEST(LaggedResyncTest, NumericMatchesSynchronousReferenceAtAnyWidth) {
+  util::Rng rng(31);
+  std::vector<NumericStreamAnswer> stream;
+  for (int t = 0; t < 40; ++t) {
+    for (int w = 0; w < 6; ++w) {
+      stream.push_back({"t" + std::to_string(t), "w" + std::to_string(w),
+                        rng.Uniform(-4.0, 4.0)});
+    }
+  }
+  rng.Shuffle(stream);
+  for (const int threads : {1, 4}) {
+    for (const std::string& method_name : IncrementalNumericNames()) {
+      SCOPED_TRACE(method_name + " threads=" + std::to_string(threads));
+      StreamingOptions options;
+      options.batch.num_threads = threads;
+      ExpectLaggedAdoption<NumericStreamEngine>(
+          stream, [&] { return MakeIncrementalNumeric(method_name, options); });
+    }
+  }
+}
+
+// A snapshot taken inside a lag window records the pending resync, and the
+// restored engine relaunches its solve: both adopt the same result at the
+// same answer and continue bit-identically. Outside a window the snapshot
+// carries no trace of the machinery.
+TEST(LaggedResyncTest, SnapshotInsideALagWindowContinuesIdentically) {
+  testing::PlantedSpec spec;
+  spec.num_tasks = 40;
+  spec.num_workers = 8;
+  spec.num_choices = 2;
+  spec.redundancy = 4;
+  const std::vector<CategoricalStreamAnswer> stream =
+      ShuffledStream(testing::PlantedDataset(spec, 37), 41);
+  for (const std::string& method_name : IncrementalCategoricalNames()) {
+    CategoricalStreamEngine original(
+        MakeIncrementalCategorical(method_name, spec.num_choices, {}),
+        IntervalConfig(50, ""));
+    for (int i = 0; i < 52; ++i) {
+      ASSERT_TRUE(original
+                      .Observe(stream[i].task, stream[i].worker,
+                               stream[i].label)
+                      .ok());
+    }
+    ASSERT_TRUE(original.resync_pending());
+    const util::JsonValue snapshot = original.Snapshot();
+    const util::JsonValue* pending = snapshot.Find("pending_resync");
+    ASSERT_NE(pending, nullptr) << method_name;
+    EXPECT_EQ(pending->Find("launch_at")->number(), 50);
+    EXPECT_EQ(pending->Find("adopt_at")->number(), 55);
+
+    util::JsonValue parsed;
+    ASSERT_TRUE(util::ParseJson(snapshot.Dump(), &parsed).ok());
+    CategoricalStreamEngine restored(
+        MakeIncrementalCategorical(method_name, spec.num_choices, {}),
+        IntervalConfig(50, ""));
+    ASSERT_TRUE(restored.Restore(parsed).ok());
+    EXPECT_TRUE(restored.resync_pending());
+    for (size_t i = 52; i < stream.size(); ++i) {
+      ASSERT_TRUE(original
+                      .Observe(stream[i].task, stream[i].worker,
+                               stream[i].label)
+                      .ok());
+      ASSERT_TRUE(restored
+                      .Observe(stream[i].task, stream[i].worker,
+                               stream[i].label)
+                      .ok());
+      ASSERT_EQ(restored.method().Estimates(), original.method().Estimates())
+          << method_name << " answer " << i + 1;
+      ASSERT_EQ(restored.method().WorkerQualities(),
+                original.method().WorkerQualities())
+          << method_name << " answer " << i + 1;
+      if (i + 1 == 60) {
+        EXPECT_EQ(original.Snapshot().Find("pending_resync"), nullptr);
+      }
+    }
+    EXPECT_EQ(restored.stats().resyncs, original.stats().resyncs);
+  }
+}
+
+// The lag is fixed when a resync launches: retuning the interval moves
+// neither a pending adoption nor the lag it was launched with, only the
+// next launch's. Below 10 the lag is 0 and the resync is synchronous.
+TEST(LaggedResyncTest, RetuneSetsTheNextLagOnly) {
+  CategoricalStreamEngine engine(MakeIncrementalCategorical("MV", 2, {}),
+                                 IntervalConfig(50, ""));
+  int answered = 0;
+  auto observe_until = [&](int n) {
+    for (; answered < n; ++answered) {
+      ASSERT_TRUE(engine
+                      .Observe("t" + std::to_string(answered % 13),
+                               "w" + std::to_string(answered / 13),
+                               answered % 2)
+                      .ok());
+    }
+  };
+  observe_until(51);
+  engine.set_resync_interval(20);
+  observe_until(54);
+  EXPECT_TRUE(engine.resync_pending());
+  EXPECT_EQ(engine.stats().resyncs, 0);
+  observe_until(55);  // adopted at 50 + 50 / 10
+  EXPECT_FALSE(engine.resync_pending());
+  EXPECT_EQ(engine.stats().resyncs, 1);
+  observe_until(61);  // launched at 60 with lag 20 / 10
+  EXPECT_TRUE(engine.resync_pending());
+  observe_until(62);
+  EXPECT_FALSE(engine.resync_pending());
+  EXPECT_EQ(engine.stats().resyncs, 2);
+  engine.set_resync_interval(9);
+  observe_until(63);  // synchronous at 63
+  EXPECT_FALSE(engine.resync_pending());
+  EXPECT_EQ(engine.stats().resyncs, 3);
 }
 
 }  // namespace

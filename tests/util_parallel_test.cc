@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -144,6 +147,54 @@ TEST(ParallelForSlottedTest, NestedRegionsRunInlineOnTheCallingWorker) {
   std::vector<std::atomic<int>> visits(64);
   ParallelForSlotted(64, 4, [&](int i, int) { visits[i].fetch_add(1); });
   for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+}
+
+// The background solver runs its jobs one at a time in submission order,
+// on one thread that is not the submitter's. A job withdrawn while still
+// queued never runs, and releases what it captured at once.
+TEST(BackgroundSolverTest, RunsJobsInFifoOrderAndSkipsWithdrawnOnes) {
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::mutex mutex;
+  std::vector<int> order;
+  std::vector<std::thread::id> threads;
+  auto job = [&](int id) {
+    return [&, id] {
+      const std::lock_guard<std::mutex> lock(mutex);
+      order.push_back(id);
+      threads.push_back(std::this_thread::get_id());
+    };
+  };
+  // Job 0 holds the solver until released, so 1..4 are still queued when
+  // job 2 is withdrawn.
+  std::shared_ptr<BackgroundJob> first = SubmitBackground([&, released] {
+    released.wait();
+    job(0)();
+  });
+  std::shared_ptr<BackgroundJob> second = SubmitBackground(job(1));
+  auto captured = std::make_shared<int>(7);
+  std::shared_ptr<BackgroundJob> withdrawn =
+      SubmitBackground([&, captured] { job(2)(); });
+  std::shared_ptr<BackgroundJob> fourth = SubmitBackground(job(3));
+  std::shared_ptr<BackgroundJob> last = SubmitBackground(job(4));
+  WithdrawBackground(*withdrawn);
+  EXPECT_EQ(captured.use_count(), 1);
+  // A withdrawn job counts as settled: waiting on it returns at once.
+  EXPECT_FALSE(WaitBackground(*withdrawn));
+  release.set_value();
+  WaitBackground(*last);
+  // Every job before `last` has run by now; waiting on them never blocks.
+  EXPECT_FALSE(WaitBackground(*first));
+  EXPECT_FALSE(WaitBackground(*second));
+  EXPECT_FALSE(WaitBackground(*fourth));
+  WithdrawBackground(*fourth);  // already run: withdrawing is a no-op
+  const std::lock_guard<std::mutex> lock(mutex);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4}));
+  ASSERT_EQ(threads.size(), 4u);
+  for (const std::thread::id& id : threads) {
+    EXPECT_EQ(id, threads[0]);
+    EXPECT_NE(id, std::this_thread::get_id());
+  }
 }
 
 TEST(DefaultThreadsTest, WithinBounds) {
