@@ -35,18 +35,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "core/registry.h"
 #include "obs/span.h"
 #include "scenario/buggify.h"
 #include "data/answer_log.h"
@@ -77,13 +74,11 @@ struct CoordinatorConfig {
 
 template <typename Method>
 class ShardCoordinator {
-  static constexpr bool kCategorical =
-      std::is_same_v<Method, streaming::IncrementalCategoricalMethod>;
-
  public:
+  using Domain = typename Method::Domain;
   using Engine = streaming::StreamEngine<Method>;
   using BatchResult = typename Method::BatchResult;
-  using Payload = std::conditional_t<kCategorical, data::LabelId, double>;
+  using Payload = typename Domain::Payload;
 
   static util::Status Create(const CoordinatorConfig& config,
                              std::unique_ptr<ShardCoordinator>* out) {
@@ -95,14 +90,8 @@ class ShardCoordinator {
     auto coordinator =
         std::unique_ptr<ShardCoordinator>(new ShardCoordinator(config));
     for (int s = 0; s < config.shard_count; ++s) {
-      std::unique_ptr<Method> method;
-      if constexpr (kCategorical) {
-        method = streaming::MakeIncrementalCategorical(
-            config.method, config.num_choices, config.options);
-      } else {
-        method =
-            streaming::MakeIncrementalNumeric(config.method, config.options);
-      }
+      std::unique_ptr<Method> method = streaming::MakeIncremental<Method>(
+          config.method, config.num_choices, config.options);
       if (method == nullptr) {
         return util::Status::InvalidArgument(
             "no incremental implementation for method \"" + config.method +
@@ -220,10 +209,10 @@ class ShardCoordinator {
     }
     BatchResult global;
     if (!global_answers_.empty()) {
-      global = SolveGlobal();
+      global = Solve();
       for (size_t s = 0; s < engines_.size(); ++s) {
-        engines_[s]->AdoptResult(
-            LocalizeResult(global, static_cast<int>(s)));
+        engines_[s]->AdoptResult(Domain::Localize(global, shard_tasks_[s],
+                                                  shard_workers_[s]));
       }
     }
     if (out != nullptr) *out = std::move(global);
@@ -283,7 +272,7 @@ class ShardCoordinator {
           std::to_string(config_.shard_count));
     }
     if (meta.kind != Method::kKind || meta.method != config_.method ||
-        (kCategorical && meta.num_choices != config_.num_choices)) {
+        (Domain::kHasChoices && meta.num_choices != config_.num_choices)) {
       return util::Status::InvalidArgument(
           "checkpoint method " + meta.kind + "/" + meta.method + "/" +
           std::to_string(meta.num_choices) + " does not match this "
@@ -323,8 +312,13 @@ class ShardCoordinator {
   }
 
   // The batch solve of GlobalResync() without adopting the result into
-  // the engines (merge tooling solves over routing state alone).
-  BatchResult Solve() const { return SolveGlobal(); }
+  // the engines (merge tooling solves over routing state alone): the
+  // dataset a single engine's Resync() would build over the same answers.
+  BatchResult Solve() const {
+    return Method::Solve(global_answers_, global_num_tasks_,
+                         global_num_workers_, config_.num_choices,
+                         config_.method, config_.options.batch);
+  }
 
   // Verifies the replayed prefix actually matches the restored engines:
   // every shard's rebuilt task/worker membership must agree with its
@@ -407,28 +401,15 @@ class ShardCoordinator {
                      Payload payload, bool drive_engine) {
     const int task_gid = tasks_.Intern(task);
     const int worker_gid = workers_.Intern(worker);
-    if constexpr (kCategorical) {
-      if (payload < 0 || payload >= config_.num_choices) {
-        return util::Status::InvalidArgument(
-            "label " + std::to_string(payload) +
-            " out of range for num_choices=" +
-            std::to_string(config_.num_choices));
-      }
-    } else {
-      if (!std::isfinite(payload)) {
-        return util::Status::InvalidArgument(
-            "non-finite answer value for task \"" + task + "\"");
-      }
+    if (!Domain::InDomain(payload, config_.num_choices)) {
+      return Domain::OutOfDomain(payload, config_.num_choices,
+                                 "\"" + task + "\"");
     }
     // Buggify "validator_accept": paranoid re-validation of a record the
     // checks above just accepted — crash loudly if the validators drift.
     // Never mutates state, so accepted streams are unchanged.
     if (CROWDTRUTH_BUGGIFY("validator_accept")) {
-      if constexpr (kCategorical) {
-        CROWDTRUTH_CHECK(payload >= 0 && payload < config_.num_choices);
-      } else {
-        CROWDTRUTH_CHECK(std::isfinite(payload));
-      }
+      CROWDTRUTH_CHECK(Domain::InDomain(payload, config_.num_choices));
       CROWDTRUTH_CHECK(seen_pairs_.count(PairKey(task_gid, worker_gid)) ==
                        0);
     }
@@ -459,7 +440,7 @@ class ShardCoordinator {
     typename Method::Answer answer;
     answer.task = task_gid;
     answer.worker = worker_gid;
-    streaming::internal_engine::SetPayload(answer, payload);
+    Domain::SetPayload(answer, payload);
     global_answers_.push_back(answer);
     global_num_tasks_ = std::max(global_num_tasks_, task_gid + 1);
     global_num_workers_ = std::max(global_num_workers_, worker_gid + 1);
@@ -471,73 +452,6 @@ class ShardCoordinator {
       if (!status.ok()) return status;
     }
     return util::Status::Ok();
-  }
-
-  BatchResult SolveGlobal() const {
-    if constexpr (kCategorical) {
-      data::CategoricalDatasetBuilder builder(
-          global_num_tasks_, global_num_workers_, config_.num_choices);
-      builder.set_name(config_.method + "_stream");
-      for (const typename Method::Answer& a : global_answers_) {
-        builder.AddAnswer(a.task, a.worker, a.label);
-      }
-      const data::CategoricalDataset dataset = std::move(builder).Build();
-      auto batch = core::MakeCategoricalMethod(config_.method);
-      CROWDTRUTH_CHECK(batch != nullptr);
-      return batch->Infer(dataset, config_.options.batch);
-    } else {
-      data::NumericDatasetBuilder builder(global_num_tasks_,
-                                          global_num_workers_);
-      builder.set_name(config_.method + "_stream");
-      for (const typename Method::Answer& a : global_answers_) {
-        builder.AddAnswer(a.task, a.worker, a.value);
-      }
-      const data::NumericDataset dataset = std::move(builder).Build();
-      auto batch = core::MakeNumericMethod(config_.method);
-      CROWDTRUTH_CHECK(batch != nullptr);
-      return batch->Infer(dataset, config_.options.batch);
-    }
-  }
-
-  // Slices the global solution down to one shard's local dense spaces.
-  BatchResult LocalizeResult(const BatchResult& global, int s) const {
-    BatchResult local;
-    const std::vector<int>& task_gids = shard_tasks_[s];
-    const std::vector<int>& worker_gids = shard_workers_[s];
-    if constexpr (kCategorical) {
-      local.labels.resize(task_gids.size());
-      for (size_t i = 0; i < task_gids.size(); ++i) {
-        local.labels[i] = global.labels[task_gids[i]];
-      }
-      if (!global.posterior.empty()) {
-        local.posterior.resize(task_gids.size());
-        for (size_t i = 0; i < task_gids.size(); ++i) {
-          local.posterior[i] = global.posterior[task_gids[i]];
-        }
-      }
-      local.worker_quality.resize(worker_gids.size());
-      for (size_t i = 0; i < worker_gids.size(); ++i) {
-        local.worker_quality[i] = global.worker_quality[worker_gids[i]];
-      }
-      if (!global.worker_confusion.empty()) {
-        local.worker_confusion.resize(worker_gids.size());
-        for (size_t i = 0; i < worker_gids.size(); ++i) {
-          local.worker_confusion[i] = global.worker_confusion[worker_gids[i]];
-        }
-      }
-    } else {
-      local.values.resize(task_gids.size());
-      for (size_t i = 0; i < task_gids.size(); ++i) {
-        local.values[i] = global.values[task_gids[i]];
-      }
-      local.worker_quality.resize(worker_gids.size());
-      for (size_t i = 0; i < worker_gids.size(); ++i) {
-        local.worker_quality[i] = global.worker_quality[worker_gids[i]];
-      }
-    }
-    local.iterations = global.iterations;
-    local.converged = global.converged;
-    return local;
   }
 
   ShardMetricSet* Metrics(int s) {

@@ -22,7 +22,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -66,18 +65,6 @@ util::Status WriteCsvPairs(const std::string& path,
                            const std::string& value_column,
                            const CsvPairs& pairs);
 
-// What a `Method` engine observes of a record: the label of a categorical
-// answer, the value of a numeric one.
-template <typename Method>
-auto PayloadOf(const data::AnswerLogRecord& record) {
-  if constexpr (std::is_same_v<Method,
-                               streaming::IncrementalCategoricalMethod>) {
-    return record.label;
-  } else {
-    return record.value;
-  }
-}
-
 struct ReplayConfig {
   CoordinatorConfig coordinator;
   // Write "checkpoint_<seq>.json" into checkpoint_dir whenever the
@@ -93,6 +80,7 @@ struct ReplayConfig {
 template <typename Method>
 class ShardReplay {
  public:
+  using Domain = typename Method::Domain;
   using Coordinator = ShardCoordinator<Method>;
 
   // `records` must outlive the replay.
@@ -127,7 +115,7 @@ class ShardReplay {
     }
     for (int64_t i = 0; i < start; ++i) {
       (void)coordinator_->ReplayRouting(records_[i].task, records_[i].worker,
-                                        PayloadOf<Method>(records_[i]));
+                                        Domain::PayloadOf(records_[i]));
     }
     return coordinator_->FinishReplay();
   }
@@ -150,7 +138,7 @@ class ShardReplay {
     for (int64_t i = coordinator_->next_sequence(); i < end; ++i) {
       const data::AnswerLogRecord& record = records_[i];
       util::Status status = coordinator_->Observe(
-          record.task, record.worker, PayloadOf<Method>(record));
+          record.task, record.worker, Domain::PayloadOf(record));
       const bool accepted = status.ok();
       if (accepted) {
         ++replayed_;

@@ -3,7 +3,8 @@
 // batch CSV loaders), per-answer latency accounting, periodic full resyncs,
 // and engine-level snapshots that also capture the id tables.
 //
-// Header-only template shared by the categorical and numeric stacks:
+// Header-only template over either incremental base (IncrementalMethod of
+// a categorical or numeric domain, streaming/incremental.h):
 //
 //   CategoricalStreamEngine engine(
 //       MakeIncrementalCategorical("ZC", 2, {}), {.resync_interval = 1000});
@@ -18,7 +19,7 @@
 // estimates. At answer S + L, with the lag L = resync_interval / 10, it
 // adopts the result — waiting only if the solve has not finished — exactly
 // as a resync run at S would have, and re-applies answers S+1..S+L on top
-// (IncrementalCategoricalMethod::AdoptPrefix). So the estimates after every
+// (IncrementalMethod::AdoptPrefix). So the estimates after every
 // answer stay a pure function of the answer prefix and the config, and
 // outside the windows [S, S+L) they equal those of an engine that resyncs
 // synchronously at every S. Intervals below 10 (L = 0) and every explicit
@@ -145,13 +146,6 @@ struct EngineStats {
 
 namespace internal_engine {
 
-inline void SetPayload(CategoricalAnswer& answer, data::LabelId label) {
-  answer.label = label;
-}
-inline void SetPayload(NumericAnswer& answer, double value) {
-  answer.value = value;
-}
-
 // Estimate change caused by a resync: fraction of labels that flipped
 // (categorical) or max absolute value change (numeric).
 inline double EstimateDelta(const std::vector<data::LabelId>& before,
@@ -179,6 +173,7 @@ inline double EstimateDelta(const std::vector<double>& before,
 template <typename Method>
 class StreamEngine {
  public:
+  using Domain = typename Method::Domain;
   using BatchResult = typename Method::BatchResult;
 
   StreamEngine(std::unique_ptr<Method> method, EngineConfig config)
@@ -196,7 +191,7 @@ class StreamEngine {
     typename Method::Answer answer;
     answer.task = tasks_.Intern(task);
     answer.worker = workers_.Intern(worker);
-    internal_engine::SetPayload(answer, payload);
+    Domain::SetPayload(answer, payload);
     util::Status status = method_->Observe(answer);
     if (!status.ok()) return status;
     const double seconds = span.ElapsedSeconds();
@@ -206,7 +201,7 @@ class StreamEngine {
       m->answers->Increment();
       m->observe_latency->Observe(seconds);
       m->sweep_depth->Observe(method_->last_observe_swept());
-      m->backlog->Set(static_cast<double>(method_->backlog_size()));
+      ReportBacklog(m);
     }
     if (span.armed()) {
       span.Annotate("method", method_->name());
@@ -229,7 +224,7 @@ class StreamEngine {
   }
 
   // Full batch resync of every answer seen so far, solved and adopted now
-  // on this thread (see IncrementalCategoricalMethod::Resync); a pending
+  // on this thread (see IncrementalMethod::Resync); a pending
   // periodic solve is withdrawn first. The engine_resync span nests under
   // `parent` when given (a shard barrier running this resync on a pool
   // worker), else under this thread's span.
@@ -266,9 +261,7 @@ class StreamEngine {
     WorkerSummary summary;
     summary.method = method_->name();
     summary.kind = Method::kKind;
-    if constexpr (requires { method_->num_choices(); }) {
-      summary.num_choices = method_->num_choices();
-    }
+    summary.num_choices = method_->num_choices();
     for (int w = 0; w < workers_.size(); ++w) {
       WorkerSummaryEntry entry;
       entry.answer_count = method_->WorkerAnswerCount(w);
@@ -288,13 +281,12 @@ class StreamEngine {
           "worker summary is for " + summary.kind + " method \"" +
           summary.method + "\"; engine runs \"" + method_->name() + "\"");
     }
-    if constexpr (requires { method_->num_choices(); }) {
-      if (summary.num_choices != method_->num_choices()) {
-        return util::Status::InvalidArgument(
-            "worker summary num_choices " +
-            std::to_string(summary.num_choices) + " != engine's " +
-            std::to_string(method_->num_choices()));
-      }
+    if (Domain::kHasChoices &&
+        summary.num_choices != method_->num_choices()) {
+      return util::Status::InvalidArgument(
+          "worker summary num_choices " +
+          std::to_string(summary.num_choices) + " != engine's " +
+          std::to_string(method_->num_choices()));
     }
     for (int w = 0; w < workers_.size(); ++w) {
       auto it = summary.workers.find(workers_.Name(w));
@@ -316,9 +308,7 @@ class StreamEngine {
     root.Set("version", 2);
     root.Set("kind", Method::kKind);
     root.Set("method_name", method_->name());
-    if constexpr (requires { method_->num_choices(); }) {
-      root.Set("num_choices", method_->num_choices());
-    }
+    if (Domain::kHasChoices) root.Set("num_choices", method_->num_choices());
     root.Set("resync_interval", config_.resync_interval);
     root.Set("task_ids", tasks_.ToJson());
     root.Set("worker_ids", workers_.ToJson());
@@ -450,9 +440,15 @@ class StreamEngine {
   void set_max_dirty_tasks(int cap) { method_->set_max_dirty_tasks(cap); }
 
   // Relabels the engine's metric series (new tenant label children are
-  // resolved lazily on the next Observe/Resync).
+  // resolved lazily on the next Observe/Resync). The engine's share of the
+  // old backlog child leaves it now, while the registry holding it is the
+  // installed one.
   void set_tenant_label(const std::string& tenant) {
     config_.tenant = tenant;
+    if (metrics_registry_ != nullptr &&
+        metrics_registry_ == obs::ProcessMetrics()) {
+      metric_set_.backlog->Add(-backlog_share_);
+    }
     metrics_registry_ = nullptr;
   }
 
@@ -593,7 +589,7 @@ class StreamEngine {
     if (EngineMetricSet* m = Metrics()) {
       m->resyncs->Increment();
       m->resync_duration->Observe(seconds);
-      m->backlog->Set(static_cast<double>(method_->backlog_size()));
+      ReportBacklog(m);
     }
     if (trace_ != nullptr) {
       core::IterationEvent event;
@@ -606,6 +602,17 @@ class StreamEngine {
       trace_->OnIteration(event);
     }
     observe_seconds_traced_ = stats_.observe_latency.sum();
+  }
+
+  // Engines whose metric labels agree share one backlog gauge child: the
+  // shards of a sharded tenant, and tenants past the registry's tenant-
+  // label cap. Each adds the change in its own backlog since its last
+  // report, so the child reads the sum over its engines.
+  void ReportBacklog(EngineMetricSet* m) {
+    const double backlog = static_cast<double>(method_->backlog_size());
+    if (backlog == backlog_share_) return;
+    m->backlog->Add(backlog - backlog_share_);
+    backlog_share_ = backlog;
   }
 
   EngineMetricSet* Metrics() {
@@ -666,6 +673,8 @@ class StreamEngine {
                    names)
                .WithLabels(label);
       metrics_registry_ = registry;
+      // A newly resolved child holds none of this engine's backlog yet.
+      backlog_share_ = 0.0;
     }
     return &metric_set_;
   }
@@ -680,6 +689,8 @@ class StreamEngine {
   double observe_seconds_traced_ = 0.0;
   EngineMetricSet metric_set_;
   obs::MetricRegistry* metrics_registry_ = nullptr;
+  // This engine's backlog as last added into metric_set_.backlog.
+  double backlog_share_ = 0.0;
   // The periodic resync launched and not yet adopted, if any.
   std::unique_ptr<PendingResync> pending_;
 };

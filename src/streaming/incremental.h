@@ -3,8 +3,8 @@
 // The batch framework (core/inference.h) recomputes everything from the full
 // answer matrix. A deployed collection pipeline instead sees answers one at
 // a time and wants fresh estimates after each one without paying a full
-// re-run per answer. IncrementalCategoricalMethod / IncrementalNumericMethod
-// are the streaming counterparts of CategoricalMethod / NumericMethod:
+// re-run per answer. IncrementalMethod<Domain> is the streaming counterpart
+// of CategoricalMethod / NumericMethod, written once for both answer types:
 //
 //   * Observe(answer)     — ingest one answer, growing the task/worker
 //                           spaces on demand, and run a bounded localized
@@ -23,6 +23,13 @@
 //                           estimates, verbatim doubles) to JSON, so a
 //                           restored method continues bit-identically.
 //
+// What differs between the answer types is decided once, in two stateless
+// traits: CategoricalDomain (labels in [0, num_choices); MV, ZC, D&S) and
+// NumericDomain (finite values; Mean, Median). Everything else — the answer
+// store, resync, lagged adoption, snapshots, and the engine, shard
+// coordinator and tools above them — is written once over the trait, and
+// each method's estimates and sweeps live in its subclass.
+//
 // Between resyncs the incremental estimates are an approximation: each
 // Observe recomputes only the answered task's posterior and its local
 // neighborhood (StreamingOptions::local_sweeps rounds of propagation to
@@ -32,14 +39,17 @@
 #ifndef CROWDTRUTH_STREAMING_INCREMENTAL_H_
 #define CROWDTRUTH_STREAMING_INCREMENTAL_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/inference.h"
+#include "core/registry.h"
 #include "data/dataset.h"
 #include "util/json_writer.h"
 #include "util/status.h"
@@ -91,6 +101,18 @@ inline void SpillDirtySet(int cap, std::set<data::TaskId>* dirty,
   }
 }
 
+// values[ids[0]], values[ids[1]], ...; empty when `values` is (a batch
+// result field the method does not fill).
+template <typename T>
+std::vector<T> Gather(const std::vector<T>& values,
+                      const std::vector<int>& ids) {
+  std::vector<T> out;
+  if (values.empty()) return out;
+  out.reserve(ids.size());
+  for (const int id : ids) out.push_back(values[id]);
+  return out;
+}
+
 }  // namespace internal
 
 struct CategoricalAnswer {
@@ -105,27 +127,149 @@ struct NumericAnswer {
   double value = 0.0;
 };
 
-// Base of the categorical incremental methods (MV, ZC, D&S). Owns the
-// growing answer store (arrival order plus both adjacency views, mirroring
-// data::CategoricalDataset); subclasses own the derived estimates.
-class IncrementalCategoricalMethod {
- public:
+// Decision-making answers: a label in [0, num_choices).
+struct CategoricalDomain {
   using Answer = CategoricalAnswer;
+  using Payload = data::LabelId;
+  using TaskVote = data::TaskVote;
+  using WorkerVote = data::WorkerVote;
+  using Dataset = data::CategoricalDataset;
+  using DatasetBuilder = data::CategoricalDatasetBuilder;
+  using BatchMethod = core::CategoricalMethod;
   using BatchResult = core::CategoricalResult;
-  // Domain tag recorded in snapshots and worker summaries.
+  // Domain tag recorded in snapshots, checkpoints and worker summaries.
   static constexpr const char* kKind = "categorical";
+  // The tools' method when --method is not given.
+  static constexpr const char* kDefaultMethod = "ZC";
+  // Answers range over num_choices labels: snapshots, checkpoints, worker
+  // summaries and run reports carry num_choices, and method snapshots the
+  // sweep backlog (numeric methods never defer a sweep).
+  static constexpr bool kHasChoices = true;
 
-  IncrementalCategoricalMethod(int num_choices, StreamingOptions options);
-  virtual ~IncrementalCategoricalMethod() = default;
+  // The payload of an Answer or a data::AnswerLogRecord.
+  template <typename Record>
+  static Payload PayloadOf(const Record& record) {
+    return record.label;
+  }
+  static void SetPayload(Answer& answer, Payload label) {
+    answer.label = label;
+  }
+  static bool InDomain(Payload label, int num_choices) {
+    return label >= 0 && label < num_choices;
+  }
+  // The rejection of a payload InDomain refused; `task` names its task.
+  static util::Status OutOfDomain(Payload label, int num_choices,
+                                  const std::string& /*task*/) {
+    return util::Status::InvalidArgument(
+        "label " + std::to_string(label) +
+        " out of range for num_choices=" + std::to_string(num_choices));
+  }
+  static DatasetBuilder MakeBuilder(int tasks, int workers, int num_choices) {
+    return DatasetBuilder(tasks, workers, num_choices);
+  }
+  static std::unique_ptr<BatchMethod> MakeBatchMethod(
+      const std::string& name) {
+    return core::MakeCategoricalMethod(name);
+  }
+  static const std::vector<Payload>& Estimates(const BatchResult& result) {
+    return result.labels;
+  }
+  // `global` restricted to one shard's tasks and workers, listed by their
+  // global ids in the shard's local order.
+  static BatchResult Localize(const BatchResult& global,
+                              const std::vector<int>& tasks,
+                              const std::vector<int>& workers) {
+    BatchResult local;
+    local.labels = internal::Gather(global.labels, tasks);
+    local.posterior = internal::Gather(global.posterior, tasks);
+    local.worker_quality = internal::Gather(global.worker_quality, workers);
+    local.worker_confusion =
+        internal::Gather(global.worker_confusion, workers);
+    local.iterations = global.iterations;
+    local.converged = global.converged;
+    return local;
+  }
+};
 
-  // Batch-registry name of the method this one streams ("MV", "ZC", "D&S").
+// Numeric answers: any finite value. `num_choices` is 0 and unused.
+struct NumericDomain {
+  using Answer = NumericAnswer;
+  using Payload = double;
+  using TaskVote = data::NumericTaskVote;
+  using WorkerVote = data::NumericWorkerVote;
+  using Dataset = data::NumericDataset;
+  using DatasetBuilder = data::NumericDatasetBuilder;
+  using BatchMethod = core::NumericMethod;
+  using BatchResult = core::NumericResult;
+  static constexpr const char* kKind = "numeric";
+  static constexpr const char* kDefaultMethod = "Mean";
+  static constexpr bool kHasChoices = false;
+
+  template <typename Record>
+  static Payload PayloadOf(const Record& record) {
+    return record.value;
+  }
+  static void SetPayload(Answer& answer, Payload value) {
+    answer.value = value;
+  }
+  static bool InDomain(Payload value, int /*num_choices*/) {
+    return std::isfinite(value);
+  }
+  static util::Status OutOfDomain(Payload /*value*/, int /*num_choices*/,
+                                  const std::string& task) {
+    return util::Status::InvalidArgument(
+        "non-finite answer value for task " + task);
+  }
+  static DatasetBuilder MakeBuilder(int tasks, int workers,
+                                    int /*num_choices*/) {
+    return DatasetBuilder(tasks, workers);
+  }
+  static std::unique_ptr<BatchMethod> MakeBatchMethod(
+      const std::string& name) {
+    return core::MakeNumericMethod(name);
+  }
+  static const std::vector<Payload>& Estimates(const BatchResult& result) {
+    return result.values;
+  }
+  static BatchResult Localize(const BatchResult& global,
+                              const std::vector<int>& tasks,
+                              const std::vector<int>& workers) {
+    BatchResult local;
+    local.values = internal::Gather(global.values, tasks);
+    local.worker_quality = internal::Gather(global.worker_quality, workers);
+    local.iterations = global.iterations;
+    local.converged = global.converged;
+    return local;
+  }
+};
+
+// Base of the incremental methods of one answer domain. Owns the growing
+// answer store (arrival order plus both adjacency views, mirroring the
+// batch dataset); subclasses own the derived estimates and their sweeps.
+// Defined in incremental.cc, which instantiates it for both domains.
+template <typename D>
+class IncrementalMethod {
+ public:
+  using Domain = D;
+  using Answer = typename Domain::Answer;
+  using Payload = typename Domain::Payload;
+  using BatchResult = typename Domain::BatchResult;
+  static constexpr const char* kKind = Domain::kKind;
+
+  // `num_choices` is the label-space size, 0 for numeric methods.
+  IncrementalMethod(int num_choices, StreamingOptions options);
+  virtual ~IncrementalMethod() = default;
+
+  // Batch-registry name of the method this one streams ("MV", "ZC", "D&S",
+  // "Mean", "Median").
   virtual std::string name() const = 0;
 
   // Ingests one answer. Task/worker ids are dense indices; ids beyond the
   // current spaces grow them (the engine's interner produces contiguous
-  // ids). Rejects out-of-range labels and duplicate (task, worker) pairs
-  // with InvalidArgument, leaving the state untouched.
-  util::Status Observe(const CategoricalAnswer& answer);
+  // ids). Rejects payloads outside the domain (out-of-range labels,
+  // non-finite values) and duplicate (task, worker) pairs with
+  // InvalidArgument, leaving the state untouched.
+  util::Status Observe(const Answer& answer);
 
   int num_tasks() const { return static_cast<int>(by_task_.size()); }
   int num_workers() const { return static_cast<int>(by_worker_.size()); }
@@ -139,7 +283,8 @@ class IncrementalCategoricalMethod {
   // future sweeps are affected: the current backlog keeps draining under
   // the new cap, and the next Resync adopts the batch solution regardless
   // of sweep history, so retuning mid-stream never changes what a
-  // resynced engine converges to.
+  // resynced engine converges to. The numeric methods keep exact running
+  // state and never defer work, so for them the cap bounds nothing.
   void set_max_dirty_tasks(int cap) { options_.max_dirty_tasks = cap; }
 
   // Dirty tasks deferred by max_dirty_tasks and still awaiting a sweep.
@@ -147,18 +292,19 @@ class IncrementalCategoricalMethod {
     return static_cast<int64_t>(backlog_.size());
   }
   // Tasks re-estimated by the most recent Observe's propagation sweeps
-  // (0 for methods without localized re-estimation, e.g. MV).
+  // (0 for methods without localized re-estimation, e.g. MV, Mean).
   int last_observe_swept() const { return last_swept_; }
 
   // Current estimates. Estimate/TaskPosterior/WorkerQuality require a valid
   // index; Estimates()/WorkerQualities() gather all of them.
-  virtual data::LabelId Estimate(data::TaskId task) const = 0;
-  // Per-task belief over choices; empty for hard-assignment methods (MV).
+  virtual Payload Estimate(data::TaskId task) const = 0;
+  // Per-task belief over choices; empty for hard-assignment methods (MV)
+  // and numeric ones.
   virtual std::vector<double> TaskPosterior(data::TaskId /*task*/) const {
     return {};
   }
   virtual double WorkerQuality(data::WorkerId worker) const = 0;
-  std::vector<data::LabelId> Estimates() const;
+  std::vector<Payload> Estimates() const;
   std::vector<double> WorkerQualities() const;
 
   // Runs the batch counterpart over all answers seen so far (on the exact
@@ -166,37 +312,47 @@ class IncrementalCategoricalMethod {
   // worker qualities verbatim. Returns the batch result. No-op returning an
   // empty result before the first answer. Equivalent to
   // AdoptPrefix(num_answers(), PrefixSolve(num_answers())()).
-  core::CategoricalResult Resync();
+  BatchResult Resync();
 
   // The batch solve of the first `answers` answers as a self-contained job:
   // it owns a copy of that arrival-order prefix (a copy of `answers`
   // triples) and its own batch solver, so it may run on any thread while
   // this method keeps observing.
-  std::function<core::CategoricalResult()> PrefixSolve(int64_t answers) const;
+  std::function<BatchResult()> PrefixSolve(int64_t answers) const;
 
   // Leaves the method exactly as Resync() right after its `answers`-th
   // answer would have, given that prefix's batch solution `result`, then
   // re-observes the answers that arrived since: they are popped off the
   // back of the store, the spaces shrink back to the prefix's, the result
   // is adopted and the popped answers are observed again in order.
-  void AdoptPrefix(int64_t answers, const core::CategoricalResult& result);
+  void AdoptPrefix(int64_t answers, const BatchResult& result);
 
   // Adopts an externally computed batch solution over the current answers
   // (the shard coordinator's global resync, restricted to this shard's
   // slice). Vectors must be sized to the current task/worker spaces; like
   // Resync, the adopted solution subsumes any deferred backlog.
-  void AdoptResult(const core::CategoricalResult& result) {
+  void AdoptResult(const BatchResult& result) {
     AdoptBatch(result);
     backlog_.clear();
   }
+
+  // The batch solve of `answers` (arrival order, over `tasks` x `workers`)
+  // by the batch method `method`: what Resync() runs over this method's
+  // answers, and a shard coordinator's global resync over every shard's.
+  static BatchResult Solve(std::span<const Answer> answers, int tasks,
+                           int workers, int num_choices,
+                           const std::string& method,
+                           const core::InferenceOptions& options);
 
   // --- Cross-shard worker state (streaming/worker_summary.h) ---
   //
   // Worker quality is the only cross-task coupling in Algorithm 1, so it is
   // the only state task-partitioned shards exchange. ExportWorkerStats
   // returns the additive sufficient statistics one worker's quality is
-  // derived from (empty for methods whose quality never feeds the truth);
-  // AdoptWorkerStats re-derives the quality from shard-merged statistics.
+  // derived from (empty for methods whose quality never feeds the truth,
+  // such as MV and the numeric methods, whose quality is a local
+  // diagnostic); AdoptWorkerStats re-derives the quality from shard-merged
+  // statistics.
   int64_t WorkerAnswerCount(data::WorkerId worker) const {
     return static_cast<int64_t>(by_worker_[worker].size());
   }
@@ -209,11 +365,11 @@ class IncrementalCategoricalMethod {
                                 const std::vector<double>& /*stats*/) {}
 
   // The answers seen so far as a batch dataset, added in arrival order —
-  // bit-identical to a CategoricalDatasetBuilder fed the same stream.
-  data::CategoricalDataset MaterializeDataset() const;
+  // bit-identical to a dataset builder fed the same stream.
+  typename Domain::Dataset MaterializeDataset() const;
 
   // Full-fidelity JSON state. Restore() accepts only a snapshot produced by
-  // the same method with the same num_choices and resumes bit-identically.
+  // the same method (with the same num_choices) and resumes bit-identically.
   util::JsonValue Snapshot() const;
   util::Status Restore(const util::JsonValue& snapshot);
 
@@ -224,13 +380,11 @@ class IncrementalCategoricalMethod {
   virtual void OnGrow() = 0;
   // Called after the answer was appended to the adjacency views; subclasses
   // run their localized update.
-  virtual void OnObserve(const CategoricalAnswer& answer) = 0;
+  virtual void OnObserve(const Answer& answer) = 0;
   // Adopts a batch result verbatim (sizes match the current spaces) and
   // rebuilds every other piece of subclass state from the answer store, so
   // the state afterwards depends on nothing but the store and `result`.
-  virtual void AdoptBatch(const core::CategoricalResult& result) = 0;
-  virtual std::unique_ptr<core::CategoricalMethod> MakeBatchMethod()
-      const = 0;
+  virtual void AdoptBatch(const BatchResult& result) = 0;
   // Serializes / restores the subclass state. RestoreState runs after the
   // answer store and adjacency have been rebuilt and OnGrow() has sized the
   // subclass arrays.
@@ -240,9 +394,9 @@ class IncrementalCategoricalMethod {
   StreamingOptions options_;
   int num_choices_ = 0;
   // Arrival order; the replay log this method has consumed.
-  std::vector<CategoricalAnswer> answers_;
-  std::vector<std::vector<data::TaskVote>> by_task_;
-  std::vector<std::vector<data::WorkerVote>> by_worker_;
+  std::vector<Answer> answers_;
+  std::vector<std::vector<typename Domain::TaskVote>> by_task_;
+  std::vector<std::vector<typename Domain::WorkerVote>> by_worker_;
   // Dirty tasks deferred by max_dirty_tasks; drained by later Observes,
   // cleared by Resync (the batch solution subsumes the pending work).
   std::set<data::TaskId> backlog_;
@@ -251,83 +405,13 @@ class IncrementalCategoricalMethod {
   int last_swept_ = 0;
 };
 
-// Base of the numeric incremental methods (Mean, Median).
-class IncrementalNumericMethod {
- public:
-  using Answer = NumericAnswer;
-  using BatchResult = core::NumericResult;
-  static constexpr const char* kKind = "numeric";
+extern template class IncrementalMethod<CategoricalDomain>;
+extern template class IncrementalMethod<NumericDomain>;
 
-  explicit IncrementalNumericMethod(StreamingOptions options);
-  virtual ~IncrementalNumericMethod() = default;
-
-  virtual std::string name() const = 0;
-
-  util::Status Observe(const NumericAnswer& answer);
-
-  int num_tasks() const { return static_cast<int>(by_task_.size()); }
-  int num_workers() const { return static_cast<int>(by_worker_.size()); }
-  int64_t num_answers() const {
-    return static_cast<int64_t>(answers_.size());
-  }
-  const StreamingOptions& options() const { return options_; }
-
-  // Accepted for engine symmetry; the numeric methods keep exact running
-  // state and never defer work, so the cap has nothing to bound.
-  void set_max_dirty_tasks(int cap) { options_.max_dirty_tasks = cap; }
-
-  // The numeric methods keep exact running state per task, so there is no
-  // deferred work; the accessors exist for engine-metrics symmetry.
-  int64_t backlog_size() const { return 0; }
-  int last_observe_swept() const { return 0; }
-
-  virtual double Estimate(data::TaskId task) const = 0;
-  virtual double WorkerQuality(data::WorkerId worker) const = 0;
-  std::vector<double> Estimates() const;
-  std::vector<double> WorkerQualities() const;
-
-  // See IncrementalCategoricalMethod::Resync, PrefixSolve and AdoptPrefix.
-  core::NumericResult Resync();
-  std::function<core::NumericResult()> PrefixSolve(int64_t answers) const;
-  void AdoptPrefix(int64_t answers, const core::NumericResult& result);
-
-  // See IncrementalCategoricalMethod::AdoptResult.
-  void AdoptResult(const core::NumericResult& result) {
-    AdoptBatch(result);
-  }
-
-  // See IncrementalCategoricalMethod — the numeric methods' worker quality
-  // is a local diagnostic (negative RMS vs the estimates) that never feeds
-  // the truth, so only the answer counts travel between shards.
-  int64_t WorkerAnswerCount(data::WorkerId worker) const {
-    return static_cast<int64_t>(by_worker_[worker].size());
-  }
-  virtual std::vector<double> ExportWorkerStats(
-      data::WorkerId /*worker*/) const {
-    return {};
-  }
-  virtual void AdoptWorkerStats(data::WorkerId /*worker*/,
-                                int64_t /*answer_count*/,
-                                const std::vector<double>& /*stats*/) {}
-
-  data::NumericDataset MaterializeDataset() const;
-  util::JsonValue Snapshot() const;
-  util::Status Restore(const util::JsonValue& snapshot);
-
- protected:
-  // See the IncrementalCategoricalMethod hooks.
-  virtual void OnGrow() = 0;
-  virtual void OnObserve(const NumericAnswer& answer) = 0;
-  virtual void AdoptBatch(const core::NumericResult& result) = 0;
-  virtual std::unique_ptr<core::NumericMethod> MakeBatchMethod() const = 0;
-  virtual void SnapshotState(util::JsonValue* state) const = 0;
-  virtual util::Status RestoreState(const util::JsonValue& state) = 0;
-
-  StreamingOptions options_;
-  std::vector<NumericAnswer> answers_;
-  std::vector<std::vector<data::NumericTaskVote>> by_task_;
-  std::vector<std::vector<data::NumericWorkerVote>> by_worker_;
-};
+// Base of MV, ZC and D&S.
+using IncrementalCategoricalMethod = IncrementalMethod<CategoricalDomain>;
+// Base of Mean and Median.
+using IncrementalNumericMethod = IncrementalMethod<NumericDomain>;
 
 }  // namespace crowdtruth::streaming
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/methods/ds.h"
 #include "streaming/snapshot_util.h"
 #include "util/special_functions.h"
 
@@ -175,11 +174,6 @@ void StreamingDs::AdoptBatch(const core::CategoricalResult& result) {
     for (int j = 0; j < l; ++j) class_sum_[j] += posterior_[t][j];
   }
   RefreshClassPrior();
-}
-
-std::unique_ptr<core::CategoricalMethod> StreamingDs::MakeBatchMethod()
-    const {
-  return std::make_unique<core::DawidSkene>();
 }
 
 void StreamingDs::SnapshotState(JsonValue* state) const {

@@ -64,7 +64,6 @@ class StreamingDs : public IncrementalCategoricalMethod {
   void OnGrow() override;
   void OnObserve(const CategoricalAnswer& answer) override;
   void AdoptBatch(const core::CategoricalResult& result) override;
-  std::unique_ptr<core::CategoricalMethod> MakeBatchMethod() const override;
   void SnapshotState(util::JsonValue* state) const override;
   util::Status RestoreState(const util::JsonValue& state) override;
 

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/methods/mv.h"
 #include "streaming/snapshot_util.h"
 
 namespace crowdtruth::streaming {
@@ -46,11 +45,6 @@ void StreamingMajorityVote::RebuildCounts() {
       ++counts_[t][vote.label];
     }
   }
-}
-
-std::unique_ptr<core::CategoricalMethod>
-StreamingMajorityVote::MakeBatchMethod() const {
-  return std::make_unique<core::MajorityVoting>();
 }
 
 void StreamingMajorityVote::SnapshotState(JsonValue* state) const {

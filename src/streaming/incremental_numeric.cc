@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/methods/baselines_numeric.h"
 #include "streaming/snapshot_util.h"
 
 namespace crowdtruth::streaming {
@@ -46,10 +45,6 @@ void StreamingMean::OnObserve(const NumericAnswer& answer) {
   values_[answer.task] = sums_[answer.task] / by_task_[answer.task].size();
 }
 
-std::unique_ptr<core::NumericMethod> StreamingMean::MakeBatchMethod() const {
-  return std::make_unique<core::MeanBaseline>();
-}
-
 void StreamingMean::RebuildBuffers() {
   sums_.assign(num_tasks(), 0.0);
   for (data::TaskId t = 0; t < num_tasks(); ++t) {
@@ -76,11 +71,6 @@ void StreamingMedian::OnObserve(const NumericAnswer& answer) {
   sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), answer.value),
                 answer.value);
   values_[answer.task] = MedianOf(sorted);
-}
-
-std::unique_ptr<core::NumericMethod> StreamingMedian::MakeBatchMethod()
-    const {
-  return std::make_unique<core::MedianBaseline>();
 }
 
 void StreamingMedian::RebuildBuffers() {

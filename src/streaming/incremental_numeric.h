@@ -25,7 +25,7 @@ namespace crowdtruth::streaming {
 class IncrementalNumericBaseline : public IncrementalNumericMethod {
  public:
   explicit IncrementalNumericBaseline(StreamingOptions options)
-      : IncrementalNumericMethod(std::move(options)) {}
+      : IncrementalNumericMethod(/*num_choices=*/0, std::move(options)) {}
 
   double Estimate(data::TaskId task) const override {
     return values_[task];
@@ -56,7 +56,6 @@ class StreamingMean : public IncrementalNumericBaseline {
  protected:
   void OnGrow() override;
   void OnObserve(const NumericAnswer& answer) override;
-  std::unique_ptr<core::NumericMethod> MakeBatchMethod() const override;
   void RebuildBuffers() override;
 
  private:
@@ -73,7 +72,6 @@ class StreamingMedian : public IncrementalNumericBaseline {
  protected:
   void OnGrow() override;
   void OnObserve(const NumericAnswer& answer) override;
-  std::unique_ptr<core::NumericMethod> MakeBatchMethod() const override;
   void RebuildBuffers() override;
 
  private:

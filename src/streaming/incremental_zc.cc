@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/methods/zc.h"
 #include "streaming/snapshot_util.h"
 #include "util/special_functions.h"
 
@@ -121,11 +120,6 @@ void StreamingZc::AdoptBatch(const core::CategoricalResult& result) {
     }
     agree_sum_[w] = sum;
   }
-}
-
-std::unique_ptr<core::CategoricalMethod> StreamingZc::MakeBatchMethod()
-    const {
-  return std::make_unique<core::Zc>();
 }
 
 void StreamingZc::SnapshotState(JsonValue* state) const {

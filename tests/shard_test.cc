@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "data/answer_log.h"
+#include "obs/metrics.h"
 #include "shard/checkpoint.h"
 #include "shard/coordinator.h"
 #include "shard/replay.h"
@@ -375,6 +376,33 @@ TEST(ShardCoordinatorTest, RejectionsMirrorSingleEngineSemantics) {
   // ...but the dense solve space only covers accepted answers.
   EXPECT_EQ(coordinator->global_num_tasks(), 1);
   EXPECT_EQ(coordinator->TaskOwner(1), -1);
+}
+
+// The shards of one coordinator feed one {method, tenant} backlog gauge
+// child, which must read the sum of their backlogs (the adaptive controller
+// steers a sharded tenant on it), not whichever shard reported last.
+TEST(ShardCoordinatorTest, SharedBacklogGaugeReadsTheShardSum) {
+  obs::MetricRegistry registry;
+  obs::InstallProcessMetrics(&registry);
+  CoordinatorConfig config = MakeConfig("ZC", 2, 0);
+  config.options.max_dirty_tasks = 1;
+  std::unique_ptr<CategoricalShardCoordinator> coordinator;
+  ASSERT_TRUE(CategoricalShardCoordinator::Create(config, &coordinator).ok());
+  bool both_backlogged = false;
+  for (const StreamAnswer& answer : MakeStream(80, 5, 5)) {
+    ASSERT_TRUE(
+        coordinator->Observe(answer.task, answer.worker, answer.label).ok());
+    const int64_t first = coordinator->engine(0).method().backlog_size();
+    const int64_t second = coordinator->engine(1).method().backlog_size();
+    both_backlogged = both_backlogged || (first > 0 && second > 0);
+    const obs::Gauge& gauge =
+        registry.FindGaugeFamily("crowdtruth_stream_backlog_tasks")
+            ->WithLabels({"ZC", ""});
+    ASSERT_EQ(gauge.Value(), static_cast<double>(first + second))
+        << "after " << coordinator->next_sequence() << " records";
+  }
+  obs::InstallProcessMetrics(nullptr);
+  EXPECT_TRUE(both_backlogged);
 }
 
 // --- Checkpoint envelope -----------------------------------------------

@@ -37,14 +37,13 @@
 // position E runs after all records with sequence < E are consumed, and a
 // checkpoint due at E is taken after a coinciding barrier — so equal
 // positions describe identical states no matter how the log is sharded.
-#include <cmath>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -91,17 +90,11 @@ int FinishGlobal(const Flags& flags, const std::string& mode,
                  const shard::ShardCoordinator<Method>& coordinator,
                  const typename Method::BatchResult& global,
                  int64_t skipped) {
-  constexpr bool kCategorical = std::is_same_v<
-      Method, streaming::IncrementalCategoricalMethod>;
+  using Domain = typename Method::Domain;
   shard::CsvPairs estimates;
   for (int gid = 0; gid < coordinator.global_num_tasks(); ++gid) {
-    if constexpr (kCategorical) {
-      estimates.emplace_back(coordinator.tasks().Name(gid),
-                             std::to_string(global.labels[gid]));
-    } else {
-      estimates.emplace_back(coordinator.tasks().Name(gid),
-                             std::to_string(global.values[gid]));
-    }
+    estimates.emplace_back(coordinator.tasks().Name(gid),
+                           std::to_string(Domain::Estimates(global)[gid]));
   }
   shard::CsvPairs workers;
   for (int gid = 0; gid < coordinator.global_num_workers(); ++gid) {
@@ -127,7 +120,7 @@ int FinishGlobal(const Flags& flags, const std::string& mode,
     JsonValue report = JsonValue::Object();
     report.Set("tool", "crowdtruth_shard");
     report.Set("mode", mode);
-    report.Set("type", kCategorical ? "categorical" : "numeric");
+    report.Set("type", Method::kKind);
     report.Set("method", coordinator.config().method);
     report.Set("shards", coordinator.shard_count());
     report.Set("answers", coordinator.answers_accepted());
@@ -135,7 +128,7 @@ int FinishGlobal(const Flags& flags, const std::string& mode,
     report.Set("num_tasks", coordinator.global_num_tasks());
     report.Set("num_workers", coordinator.global_num_workers());
     report.Set("barriers", coordinator.barriers_run());
-    if constexpr (kCategorical) {
+    if (Domain::kHasChoices) {
       report.Set("num_choices", coordinator.config().num_choices);
     }
     status = crowdtruth::util::WriteJsonFile(flags.Get("json_out"), report);
@@ -150,15 +143,13 @@ int FinishGlobal(const Flags& flags, const std::string& mode,
 template <typename Method>
 int RunDrive(const Flags& flags, const shard::LoadedLog& log,
              int num_choices) {
-  constexpr bool kCategorical = std::is_same_v<
-      Method, streaming::IncrementalCategoricalMethod>;
   // The default repair policy skips malformed records (and re-read
   // duplicates): a drive run and a worker/merge run over the same log
   // consume exactly the same answers.
   shard::ReplayConfig config;
   config.coordinator.shard_count = flags.GetInt("shards");
   config.coordinator.method = flags.Get("method").empty()
-                                  ? (kCategorical ? "ZC" : "Mean")
+                                  ? Method::Domain::kDefaultMethod
                                   : flags.Get("method");
   config.coordinator.num_choices = num_choices;
   config.coordinator.options = shard::StreamingOptionsFromFlags(flags);
@@ -233,8 +224,7 @@ std::string SummaryFileName(int64_t position, int shard_index) {
 
 template <typename Method>
 int RunWorker(const Flags& flags, int num_choices) {
-  constexpr bool kCategorical = std::is_same_v<
-      Method, streaming::IncrementalCategoricalMethod>;
+  using Domain = typename Method::Domain;
   const int shards = flags.GetInt("shards");
   const int index = flags.GetInt("shard_index");
   const std::string workdir = flags.Get("workdir");
@@ -247,7 +237,7 @@ int RunWorker(const Flags& flags, int num_choices) {
     return 2;
   }
   const std::string method_name = flags.Get("method").empty()
-                                      ? (kCategorical ? "ZC" : "Mean")
+                                      ? Domain::kDefaultMethod
                                       : flags.Get("method");
 
   data::AnswerLogReader reader;
@@ -256,14 +246,8 @@ int RunWorker(const Flags& flags, int num_choices) {
   status = reader.SetShardSlice(index, shards);
   if (!status.ok()) return FailStatus(status);
 
-  std::unique_ptr<Method> method;
-  if constexpr (kCategorical) {
-    method = streaming::MakeIncrementalCategorical(
-        method_name, num_choices, shard::StreamingOptionsFromFlags(flags));
-  } else {
-    method = streaming::MakeIncrementalNumeric(
-        method_name, shard::StreamingOptionsFromFlags(flags));
-  }
+  std::unique_ptr<Method> method = streaming::MakeIncremental<Method>(
+      method_name, num_choices, shard::StreamingOptionsFromFlags(flags));
   if (method == nullptr) {
     std::cerr << "error: no streaming implementation of \"" << method_name
               << "\"\n";
@@ -303,7 +287,7 @@ int RunWorker(const Flags& flags, int num_choices) {
       if (!status.ok()) return FailStatus(status);
       if (meta.shard_count != shards || meta.shard_index != index ||
           meta.kind != Method::kKind || meta.method != method_name ||
-          (kCategorical && meta.num_choices != num_choices)) {
+          (Domain::kHasChoices && meta.num_choices != num_choices)) {
         std::cerr << "error: " << path
                   << " was written by a different shard layout or method\n";
         return 1;
@@ -386,21 +370,27 @@ int RunWorker(const Flags& flags, int num_choices) {
     return engine.AdoptWorkerSummary(merged);
   };
 
-  const auto do_checkpoint = [&](int64_t position) -> Status {
-    crowdtruth::util::Stopwatch watch;
+  // Writes the engine's state at `position` as a single-shard checkpoint
+  // document named `file` in the workdir.
+  const auto write_state = [&](int64_t position, const std::string& file) {
     shard::CheckpointMeta meta;
     meta.shard_count = shards;
     meta.shard_index = index;
     meta.next_sequence = position;
     meta.method = method_name;
     meta.kind = Method::kKind;
-    meta.num_choices = kCategorical ? num_choices : 0;
+    meta.num_choices = num_choices;
     std::vector<JsonValue> snapshots;
     snapshots.push_back(engine.Snapshot());
-    Status checkpoint_status = shard::WriteJsonFileAtomic(
-        workdir + "/" +
-            shard::CheckpointFileName(worker_prefix, position),
+    return shard::WriteJsonFileAtomic(
+        workdir + "/" + file,
         shard::MakeCheckpointDoc(meta, std::move(snapshots)));
+  };
+
+  const auto do_checkpoint = [&](int64_t position) -> Status {
+    crowdtruth::util::Stopwatch watch;
+    Status checkpoint_status = write_state(
+        position, shard::CheckpointFileName(worker_prefix, position));
     if (!checkpoint_status.ok()) return checkpoint_status;
     if (metrics.checkpoints != nullptr) {
       metrics.checkpoints->Increment();
@@ -441,8 +431,9 @@ int RunWorker(const Flags& flags, int num_choices) {
   // Accepted (task, worker) pairs, rebuilt over the skipped prefix so a
   // duplicate spanning the checkpoint is still rejected before it can
   // touch the engine (whose interners must stay accepted-only, matching
-  // the in-process coordinator's shard state).
-  std::unordered_set<std::string> seen_pairs;
+  // the in-process coordinator's shard state). Keyed on the pair itself:
+  // ids are arbitrary strings, so no separator is safe to join them with.
+  std::set<std::pair<std::string, std::string>> seen_pairs;
   int64_t accepted = 0;
   int64_t skipped = 0;
   data::AnswerLogRecord record;
@@ -453,26 +444,16 @@ int RunWorker(const Flags& flags, int num_choices) {
     if (eof) break;
     status = fire_events_through(record.sequence);
     if (!status.ok()) return FailStatus(status);
-    bool ok_record;
-    if constexpr (kCategorical) {
-      ok_record = record.label >= 0 && record.label < num_choices;
-    } else {
-      ok_record = std::isfinite(record.value);
-    }
-    if (ok_record) {
-      ok_record =
-          seen_pairs.insert(record.task + '\x1f' + record.worker).second;
-    }
+    const typename Domain::Payload payload = Domain::PayloadOf(record);
+    const bool ok_record =
+        Domain::InDomain(payload, num_choices) &&
+        seen_pairs.emplace(record.task, record.worker).second;
     if (record.sequence < resumed_from) continue;  // already checkpointed
     if (!ok_record) {
       ++skipped;
       continue;
     }
-    if constexpr (kCategorical) {
-      status = engine.Observe(record.task, record.worker, record.label);
-    } else {
-      status = engine.Observe(record.task, record.worker, record.value);
-    }
+    status = engine.Observe(record.task, record.worker, payload);
     // Pre-validated above; a failure means the checks drifted apart.
     if (!status.ok()) return FailStatus(status);
     ++accepted;
@@ -483,18 +464,7 @@ int RunWorker(const Flags& flags, int num_choices) {
   if (!status.ok()) return FailStatus(status);
 
   if (engine.stats().answers > 0) engine.Resync();
-  shard::CheckpointMeta meta;
-  meta.shard_count = shards;
-  meta.shard_index = index;
-  meta.next_sequence = total;
-  meta.method = method_name;
-  meta.kind = Method::kKind;
-  meta.num_choices = kCategorical ? num_choices : 0;
-  std::vector<JsonValue> snapshots;
-  snapshots.push_back(engine.Snapshot());
-  status = shard::WriteJsonFileAtomic(
-      workdir + "/" + worker_prefix + "_final.json",
-      shard::MakeCheckpointDoc(meta, std::move(snapshots)));
+  status = write_state(total, worker_prefix + "_final.json");
   if (!status.ok()) return FailStatus(status);
 
   std::cout << "worker " << index << ": " << accepted << " answers ("
@@ -510,8 +480,7 @@ template <typename Method>
 int RunMerge(const Flags& flags, const shard::LoadedLog& log,
              int num_choices) {
   using Coordinator = shard::ShardCoordinator<Method>;
-  constexpr bool kCategorical = std::is_same_v<
-      Method, streaming::IncrementalCategoricalMethod>;
+  using Domain = typename Method::Domain;
   const int shards = flags.GetInt("shards");
   const std::string workdir = flags.Get("workdir");
   if (workdir.empty()) {
@@ -520,9 +489,8 @@ int RunMerge(const Flags& flags, const shard::LoadedLog& log,
   }
   shard::CoordinatorConfig config;
   config.shard_count = shards;
-  config.method = flags.Get("method").empty()
-                      ? (kCategorical ? "ZC" : "Mean")
-                      : flags.Get("method");
+  config.method = flags.Get("method").empty() ? Domain::kDefaultMethod
+                                               : flags.Get("method");
   config.num_choices = num_choices;
   config.options = shard::StreamingOptionsFromFlags(flags);
   std::unique_ptr<Coordinator> coordinator;
@@ -539,13 +507,8 @@ int RunMerge(const Flags& flags, const shard::LoadedLog& log,
   std::vector<int64_t> expected_answers(shards, 0);
   int64_t skipped = 0;
   for (const data::AnswerLogRecord& record : log.records) {
-    if constexpr (kCategorical) {
-      status = coordinator->ReplayRouting(record.task, record.worker,
-                                          record.label);
-    } else {
-      status = coordinator->ReplayRouting(record.task, record.worker,
-                                          record.value);
-    }
+    status = coordinator->ReplayRouting(record.task, record.worker,
+                                        Domain::PayloadOf(record));
     if (!status.ok()) {
       ++skipped;
       continue;
@@ -573,7 +536,7 @@ int RunMerge(const Flags& flags, const shard::LoadedLog& log,
     if (!status.ok()) return FailStatus(status);
     if (meta.shard_count != shards || meta.shard_index != s ||
         meta.kind != Method::kKind || meta.method != config.method ||
-        (kCategorical && meta.num_choices != num_choices)) {
+        (Domain::kHasChoices && meta.num_choices != num_choices)) {
       std::cerr << "error: " << path
                 << " was written by a different shard layout or method\n";
       return 1;
@@ -584,16 +547,10 @@ int RunMerge(const Flags& flags, const shard::LoadedLog& log,
                 << " — the worker did not finish its slice\n";
       return 1;
     }
-    std::unique_ptr<Method> method;
-    if constexpr (kCategorical) {
-      method = streaming::MakeIncrementalCategorical(
-          config.method, num_choices, config.options);
-    } else {
-      method =
-          streaming::MakeIncrementalNumeric(config.method, config.options);
-    }
-    streaming::StreamEngine<Method> engine(std::move(method),
-                                           streaming::EngineConfig{});
+    streaming::StreamEngine<Method> engine(
+        streaming::MakeIncremental<Method>(config.method, num_choices,
+                                           config.options),
+        streaming::EngineConfig{});
     status = engine.Restore(snapshots->items()[0]);
     if (!status.ok()) return FailStatus(status);
     const auto mismatch = [&](const std::string& what) {

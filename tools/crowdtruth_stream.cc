@@ -73,7 +73,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -433,38 +432,31 @@ int ServeAdopted(
   return 0;
 }
 
-// The single-engine replay, for either engine flavour.
+// The single-engine replay, for either engine flavour. `serve` hands the
+// replayed engine to --serve_port; it is null for engines the server
+// cannot host (numeric ones).
 template <typename Method>
-int RunSingle(const Flags& flags, const StreamInput& input,
-              const std::string& mode) {
-  constexpr bool kCategorical =
-      std::is_same_v<Method, streaming::IncrementalCategoricalMethod>;
-  if (!kCategorical && flags.GetInt("serve_port") >= 0) {
+int RunSingle(
+    const Flags& flags, const StreamInput& input, const std::string& mode,
+    int (*serve)(const Flags&,
+                 std::unique_ptr<streaming::StreamEngine<Method>>)) {
+  using Domain = typename Method::Domain;
+  if (serve == nullptr && flags.GetInt("serve_port") >= 0) {
     std::cerr << "error: --serve_port supports categorical streams only\n";
     return 2;
   }
   std::string method_name = flags.Get("method");
-  if (method_name.empty()) method_name = kCategorical ? "ZC" : "Mean";
-  const streaming::StreamingOptions options =
-      shard::StreamingOptionsFromFlags(flags);
-  std::unique_ptr<Method> method;
-  std::vector<std::string> names;
-  if constexpr (kCategorical) {
-    method = streaming::MakeIncrementalCategorical(method_name,
-                                                   input.num_choices, options);
-    names = streaming::IncrementalCategoricalNames();
-  } else {
-    method = streaming::MakeIncrementalNumeric(method_name, options);
-    names = streaming::IncrementalNumericNames();
-  }
+  if (method_name.empty()) method_name = Domain::kDefaultMethod;
+  std::unique_ptr<Method> method = streaming::MakeIncremental<Method>(
+      method_name, input.num_choices, shard::StreamingOptionsFromFlags(flags));
   if (method == nullptr) {
     std::string list;
-    for (const std::string& name : names) {
+    for (const std::string& name : streaming::IncrementalNames<Method>()) {
       list += (list.empty() ? "" : ", ") + name;
     }
     std::cerr << "error: no streaming implementation of \"" << method_name
-              << "\" (" << (kCategorical ? "categorical" : "numeric")
-              << " streaming methods: " << list << ")\n";
+              << "\" (" << Method::kKind << " streaming methods: " << list
+              << ")\n";
     return 2;
   }
   streaming::EngineConfig config;
@@ -512,7 +504,7 @@ int RunSingle(const Flags& flags, const StreamInput& input,
   int64_t replayed = 0;
   for (const data::AnswerLogRecord& record : input.records) {
     const Status status = engine->Observe(record.task, record.worker,
-                                          shard::PayloadOf<Method>(record));
+                                          Domain::PayloadOf(record));
     if (!status.ok()) {
       // A resumed replay re-reads answers the snapshot already contains.
       if (status.message().find("duplicate") != std::string::npos) {
@@ -570,7 +562,7 @@ int RunSingle(const Flags& flags, const StreamInput& input,
   JsonValue report = JsonValue::Object();
   report.Set("tool", "crowdtruth_stream");
   report.Set("mode", mode);
-  report.Set("type", kCategorical ? "categorical" : "numeric");
+  report.Set("type", Method::kKind);
   report.Set("method", engine->method().name());
   report.Set("answers", static_cast<int64_t>(stats.answers));
   report.Set("num_tasks", engine->method().num_tasks());
@@ -586,7 +578,7 @@ int RunSingle(const Flags& flags, const StreamInput& input,
   observe.Set("p99_seconds", stats.observe_latency.Quantile(0.99));
   observe.Set("max_seconds", stats.observe_latency.max());
   report.Set("observe_latency", std::move(observe));
-  if constexpr (kCategorical) report.Set("num_choices", input.num_choices);
+  if (Domain::kHasChoices) report.Set("num_choices", input.num_choices);
   report.Set("final", QualityJson(input, quality));
 
   shard::CsvPairs estimates;
@@ -602,13 +594,10 @@ int RunSingle(const Flags& flags, const StreamInput& input,
   }
   const int outputs_code =
       FinishWithOutputs(flags, report, estimates, workers);
-  if (outputs_code != 0) return outputs_code;
-  if constexpr (kCategorical) {
-    if (flags.GetInt("serve_port") >= 0) {
-      return ServeAdopted(flags, std::move(engine));
-    }
+  if (outputs_code != 0 || flags.GetInt("serve_port") < 0) {
+    return outputs_code;
   }
-  return 0;
+  return serve(flags, std::move(engine));
 }
 
 // --shards / --checkpoint_every / --resume_from: drive the replay through
@@ -619,8 +608,7 @@ int RunSingle(const Flags& flags, const StreamInput& input,
 template <typename Method>
 int RunSharded(const Flags& flags, const StreamInput& input,
                const std::string& mode) {
-  constexpr bool kCategorical =
-      std::is_same_v<Method, streaming::IncrementalCategoricalMethod>;
+  using Domain = typename Method::Domain;
   if (!flags.Get("snapshot_in").empty() ||
       !flags.Get("snapshot_out").empty() ||
       flags.GetInt("serve_port") >= 0 || flags.GetBool("trace")) {
@@ -637,7 +625,7 @@ int RunSharded(const Flags& flags, const StreamInput& input,
     return 2;
   }
   std::string method_name = flags.Get("method");
-  if (method_name.empty()) method_name = kCategorical ? "ZC" : "Mean";
+  if (method_name.empty()) method_name = Domain::kDefaultMethod;
   config.coordinator.shard_count = flags.GetInt("shards");
   config.coordinator.method = method_name;
   config.coordinator.num_choices = input.num_choices;
@@ -694,15 +682,9 @@ int RunSharded(const Flags& flags, const StreamInput& input,
 
   // Without the global solve, each task serves its owning shard's
   // (approximate, globally informed) estimate.
-  using Payload = typename shard::ShardCoordinator<Method>::Payload;
+  using Payload = typename Domain::Payload;
   const auto estimate = [&](int gid) -> Payload {
-    if (final_resync) {
-      if constexpr (kCategorical) {
-        return global.labels[gid];
-      } else {
-        return global.values[gid];
-      }
-    }
+    if (final_resync) return Domain::Estimates(global)[gid];
     const int owner = coordinator.TaskOwner(gid);
     return owner < 0 ? Payload{}
                      : coordinator.engine(owner).method().Estimate(
@@ -742,7 +724,7 @@ int RunSharded(const Flags& flags, const StreamInput& input,
   JsonValue report = JsonValue::Object();
   report.Set("tool", "crowdtruth_stream");
   report.Set("mode", mode);
-  report.Set("type", kCategorical ? "categorical" : "numeric");
+  report.Set("type", Method::kKind);
   report.Set("method", method_name);
   report.Set("shards", coordinator.shard_count());
   report.Set("answers", coordinator.answers_accepted());
@@ -752,7 +734,7 @@ int RunSharded(const Flags& flags, const StreamInput& input,
              static_cast<int64_t>(config.coordinator.barrier_interval));
   report.Set("barriers", coordinator.barriers_run());
   report.Set("checkpoint_every", config.checkpoint_every);
-  if constexpr (kCategorical) report.Set("num_choices", input.num_choices);
+  if (Domain::kHasChoices) report.Set("num_choices", input.num_choices);
   report.Set("final", QualityJson(input, scored));
   return FinishWithOutputs(flags, report, estimates, workers);
 }
@@ -860,8 +842,9 @@ int main(int argc, char** argv) {
     code = categorical ? RunSharded<Categorical>(flags, input, mode)
                        : RunSharded<Numeric>(flags, input, mode);
   } else {
-    code = categorical ? RunSingle<Categorical>(flags, input, mode)
-                       : RunSingle<Numeric>(flags, input, mode);
+    code = categorical
+               ? RunSingle<Categorical>(flags, input, mode, ServeAdopted)
+               : RunSingle<Numeric>(flags, input, mode, nullptr);
   }
 
   const double linger = flags.GetDouble("metrics_linger");

@@ -27,6 +27,9 @@
 #   7. the numeric branch, for Mean and Median: the single-engine replay,
 #      --shards=4, --resume_from a mid-run checkpoint, drive mode, and four
 #      workers plus merge all write the same truth and worker CSVs.
+#   8. ids are arbitrary strings: a log whose task and worker ids contain
+#      the 0x1f byte gives the same truth through drive mode and through a
+#      worker plus merge.
 #
 # Usage: tools/shard_e2e.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -247,5 +250,24 @@ for method in Mean Median; do
       --workers_output="$N/merged_workers.csv" > /dev/null
   same "4 workers + merge" "$N/merged.csv" "$N/merged_workers.csv"
 done
+
+# Assertion 8: task "a\x1fb" answered by worker "c" and task "a" answered
+# by worker "b\x1fc" are two distinct answers in every mode.
+{
+  echo "crowdtruth_log,v1,categorical,2"
+  printf 'a\037b,c,1\na,b\037c,0\n'
+  awk 'BEGIN { for (i = 0; i < 18; ++i) printf "t%d,w%d,%d\n", i % 6, i % 5, i % 2 }'
+} > "$WORK/sep.log"
+mkdir -p "$WORK/sepwd"
+"$SHARD" --log="$WORK/sep.log" --shards=1 --method=ZC \
+    --output="$WORK/sep_drive.csv" > /dev/null
+"$SHARD" --mode=worker --log="$WORK/sep.log" --shards=1 --shard_index=0 \
+    --workdir="$WORK/sepwd" --method=ZC > "$WORK/sepwd/worker0.out" 2>&1 \
+    || fail "worker over 0x1f ids failed (log in $WORK/sepwd)"
+"$SHARD" --mode=merge --log="$WORK/sep.log" --shards=1 \
+    --workdir="$WORK/sepwd" --method=ZC --output="$WORK/sep_merged.csv" \
+    > /dev/null || fail "merge rejected the worker's slice over 0x1f ids"
+cmp "$WORK/sep_drive.csv" "$WORK/sep_merged.csv" \
+    || fail "worker + merge truth over 0x1f ids differs from drive mode"
 
 echo "shard e2e: all assertions passed"
